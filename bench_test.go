@@ -22,6 +22,7 @@
 package pathdriverwash
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"pathdriverwash/internal/milp"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/route"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 	"pathdriverwash/internal/washpath"
 )
@@ -45,8 +47,7 @@ import (
 func benchOpts() harness.Options {
 	return harness.Options{
 		PDW: pdw.Options{
-			PathTimeLimit:   time.Second,
-			WindowTimeLimit: 3 * time.Second,
+			Budget: solve.Budget{PerPath: time.Second, Window: 3 * time.Second},
 		},
 		BaseCompressLimit: 2 * time.Second,
 	}
@@ -59,7 +60,7 @@ func runTableII(b *testing.B, name string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := harness.RunBenchmark(bm, benchOpts())
+		out, err := harness.RunBenchmark(context.Background(), bm, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func runFig(b *testing.B, name string, fig4 bool) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		out, err := harness.RunBenchmark(bm, benchOpts())
+		out, err := harness.RunBenchmark(context.Background(), bm, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func BenchmarkTableI_Motivating(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		syn, err := synth.SynthesizeOnChip(a, chip)
+		syn, err := synth.SynthesizeOnChip(context.Background(), a, chip)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,11 +157,11 @@ func BenchmarkFig3_Motivating(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		syn, err := synth.SynthesizeOnChip(a, chip)
+		syn, err := synth.SynthesizeOnChip(context.Background(), a, chip)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := pdw.Optimize(syn.Schedule, benchOpts().PDW)
+		res, err := pdw.Optimize(context.Background(), syn.Schedule, benchOpts().PDW)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,18 +178,18 @@ func runAblation(b *testing.B, mutate func(*pdw.Options)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := benchOpts().PDW
 	mutate(&opts)
 	for i := 0; i < b.N; i++ {
-		res, err := pdw.Optimize(syn.Schedule, opts)
+		res, err := pdw.Optimize(context.Background(), syn.Schedule, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func BenchmarkSubstrateLPSimplex(b *testing.B) {
 			}
 			p.AddConstraint(c, lp.LE, float64(40+r), "cap")
 		}
-		if _, err := lp.Solve(p); err != nil {
+		if _, err := lp.Solve(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +248,7 @@ func BenchmarkSubstrateMILPKnapsack(b *testing.B) {
 			coefs[idx] = float64(v%6 + 1)
 		}
 		p.LP.AddConstraint(coefs, lp.LE, 23, "cap")
-		if _, err := milp.Solve(p, milp.Options{TimeLimit: 10 * time.Second}); err != nil {
+		if _, err := milp.Solve(context.Background(), p, milp.Options{TimeLimit: 10 * time.Second}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +256,7 @@ func BenchmarkSubstrateMILPKnapsack(b *testing.B) {
 
 func BenchmarkSubstrateRouting(b *testing.B) {
 	bm, _ := benchmarks.ByName("Synthetic3")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func BenchmarkSubstrateRouting(b *testing.B) {
 func BenchmarkSubstrateSynthesis(b *testing.B) {
 	bm, _ := benchmarks.ByName("IVD")
 	for i := 0; i < b.N; i++ {
-		if _, err := bm.Synthesize(); err != nil {
+		if _, err := bm.Synthesize(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,7 +282,7 @@ func BenchmarkSubstrateSynthesis(b *testing.B) {
 
 func BenchmarkSubstrateContamAnalysis(b *testing.B) {
 	bm, _ := benchmarks.ByName("Kinase act-2")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func BenchmarkSubstrateContamAnalysis(b *testing.B) {
 
 func BenchmarkSubstrateWashPathILP(b *testing.B) {
 	bm, _ := benchmarks.ByName("PCR")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func BenchmarkSubstrateWashPathILP(b *testing.B) {
 	targets := []geom.Point{geom.Pt(4, 1), geom.Pt(5, 1), geom.Pt(6, 1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := washpath.Build(syn.Chip, washpath.Request{Targets: targets},
+		if _, err := washpath.Build(context.Background(), syn.Chip, washpath.Request{Targets: targets},
 			washpath.Options{Exact: true, TimeLimit: 10 * time.Second}); err != nil {
 			b.Fatal(err)
 		}
@@ -314,17 +315,17 @@ func BenchmarkSubstrateWashPathILP(b *testing.B) {
 // [9] (maximally postponed washes) for comparison against DAWO and PDW.
 func BenchmarkBaselineDemandDriven(b *testing.B) {
 	bm, _ := benchmarks.ByName("PCR")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := demandwash.Optimize(syn.Schedule, demandwash.Options{})
+		res, err := demandwash.Optimize(context.Background(), syn.Schedule, demandwash.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,13 +337,13 @@ func BenchmarkBaselineDemandDriven(b *testing.B) {
 
 func BenchmarkSubstrateDAWO(b *testing.B) {
 	bm, _ := benchmarks.ByName("PCR")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dawo.Optimize(syn.Schedule, dawo.Options{}); err != nil {
+		if _, err := dawo.Optimize(context.Background(), syn.Schedule, dawo.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,16 +363,16 @@ func TestBenchFixturesValid(t *testing.T) {
 // shorter washes also mean fewer valve actuations.
 func BenchmarkControlLayerCost(b *testing.B) {
 	bm, _ := benchmarks.ByName("PCR")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	layer := control.Synthesize(syn.Chip)
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{})
+	dres, err := dawo.Optimize(context.Background(), syn.Schedule, dawo.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pres, err := pdw.Optimize(syn.Schedule, benchOpts().PDW)
+	pres, err := pdw.Optimize(context.Background(), syn.Schedule, benchOpts().PDW)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func BenchmarkAblation_Placement(b *testing.B) {
 		for _, on := range []bool{false, true} {
 			cfg := bm.Config
 			cfg.OptimizePlacement = on
-			syn, err := synth.Synthesize(bm.Assay, cfg)
+			syn, err := synth.Synthesize(context.Background(), bm.Assay, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -420,11 +421,11 @@ func BenchmarkAblation_Placement(b *testing.B) {
 // BenchmarkSweep_MergeRadius varies PDW's group-merging radius on IVD.
 func BenchmarkSweep_MergeRadius(b *testing.B) {
 	bm, _ := benchmarks.ByName("IVD")
-	syn, err := bm.Synthesize()
+	syn, err := bm.Synthesize(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,7 +433,7 @@ func BenchmarkSweep_MergeRadius(b *testing.B) {
 		for _, radius := range []int{1, 4, 8} {
 			opts := benchOpts().PDW
 			opts.MergeRadius = radius
-			res, err := pdw.Optimize(syn.Schedule, opts)
+			res, err := pdw.Optimize(context.Background(), syn.Schedule, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -451,15 +452,15 @@ func BenchmarkSweep_Dissolution(b *testing.B) {
 		for _, td := range []float64{1, 2, 4} {
 			cfg := bm.Config
 			cfg.DissolutionS = td
-			syn, err := synth.Synthesize(bm.Assay, cfg)
+			syn, err := synth.Synthesize(context.Background(), bm.Assay, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+			ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := pdw.Optimize(syn.Schedule, benchOpts().PDW)
+			res, err := pdw.Optimize(context.Background(), syn.Schedule, benchOpts().PDW)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -478,15 +479,15 @@ func BenchmarkSweep_Topology(b *testing.B) {
 		for _, topo := range []synth.Topology{synth.StreetGrid, synth.Ring} {
 			cfg := bm.Config
 			cfg.Topology = topo
-			syn, err := synth.Synthesize(bm.Assay, cfg)
+			syn, err := synth.Synthesize(context.Background(), bm.Assay, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+			ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := pdw.Optimize(syn.Schedule, benchOpts().PDW)
+			res, err := pdw.Optimize(context.Background(), syn.Schedule, benchOpts().PDW)
 			if err != nil {
 				b.Fatal(err)
 			}

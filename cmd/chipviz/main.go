@@ -9,10 +9,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"pathdriverwash/internal/benchmarks"
 	"pathdriverwash/internal/contam"
@@ -31,6 +31,7 @@ func main() {
 	)
 	flag.Parse()
 
+	ctx := context.Background()
 	var syn *synth.Result
 	var err error
 	if *motivating {
@@ -38,13 +39,13 @@ func main() {
 		if merr != nil {
 			fatal(merr)
 		}
-		syn, err = synth.SynthesizeOnChip(a, chip)
+		syn, err = synth.SynthesizeOnChip(ctx, a, chip)
 	} else {
 		b, berr := benchmarks.ByName(*benchName)
 		if berr != nil {
 			fatal(berr)
 		}
-		syn, err = b.Synthesize()
+		syn, err = b.Synthesize(ctx)
 	}
 	if err != nil {
 		fatal(err)
@@ -62,7 +63,7 @@ func main() {
 
 	sched := syn.Schedule
 	if *washed {
-		res, err := pdw.Optimize(syn.Schedule, pdw.Options{WindowTimeLimit: 10 * time.Second})
+		res, err := pdw.Optimize(ctx, syn.Schedule, pdw.Options{})
 		if err != nil {
 			fatal(err)
 		}

@@ -39,14 +39,14 @@ func main() {
 		benchName = flag.String("bench", "PCR", "benchmark name (see -list)")
 		file      = flag.String("file", "", "JSON assay file (overrides -bench)")
 		export    = flag.Bool("export", false, "print the selected benchmark as JSON and exit")
-		method    = flag.String("method", "pdw", "optimizer: pdw or dawo")
+		method    = flag.String("method", "pdw", "optimizer: pdw, dawo or demand")
 		gantt     = flag.Bool("gantt", false, "print the schedule Gantt chart")
 		paths     = flag.Bool("paths", false, "print every flow path (Table I style)")
 		chipArt   = flag.Bool("chip", false, "print the chip layout")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		pathTL    = flag.Duration("path-time", 3*time.Second, "wash-path ILP time limit")
 		winTL     = flag.Duration("window-time", 10*time.Second, "time-window MILP time limit")
-		budget    = flag.Duration("budget", 0, "total wall-clock budget; on expiry the run degrades to heuristic incumbents")
+		budget    = flag.Duration("budget", 0, "wall-clock budget over synthesis, reference compression and the optimizer; on expiry the run degrades to heuristic incumbents")
 		stats     = flag.Bool("stats", false, "print the structured solve trace")
 		heuristic = flag.Bool("heuristic", false, "use BFS paths and greedy windows (no ILP)")
 		outJSON   = flag.String("out", "", "write the optimized schedule as JSON to this file")
@@ -96,7 +96,18 @@ func main() {
 		return
 	}
 
-	syn, err := synth.Synthesize(a, cfg)
+	// One context bounds the whole run — synthesis, the reference
+	// compression and the optimizer — so -budget caps everything after
+	// the input is loaded. With -listen the run is visible on
+	// /debug/solves while it lasts.
+	ctx, cancel := solve.Budget{Total: *budget}.Context(context.Background())
+	defer cancel()
+	prog := solve.NewProgress()
+	ctx = solve.WithProgress(ctx, prog)
+	unregister := obs.RegisterSolve("", "cli", *method+":"+a.Name, prog.Snapshot)
+	defer unregister()
+
+	syn, err := synth.Synthesize(ctx, a, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,23 +117,16 @@ func main() {
 		fmt.Println(syn.Chip.Render())
 	}
 
-	ref, err := pdw.CompressBase(syn.Schedule, 5*time.Second)
+	ref, err := pdw.CompressBase(ctx, syn.Schedule, 5*time.Second)
 	if err != nil {
 		fatal(err)
 	}
 
-	ctx := context.Background()
-	// With -listen, the run is visible on /debug/solves while it lasts:
-	// attach a live progress view and register it under the assay name.
-	prog := solve.NewProgress()
-	ctx = solve.WithProgress(ctx, prog)
-	unregister := obs.RegisterSolve("", "cli", *method+":"+a.Name, prog.Snapshot)
-	defer unregister()
 	var out *schedule.Schedule
 	switch *method {
 	case "pdw":
-		res, err := pdw.OptimizeContext(ctx, syn.Schedule, pdw.Options{
-			Budget:         solve.Budget{Total: *budget, PerPath: *pathTL, Window: *winTL},
+		res, err := pdw.Optimize(ctx, syn.Schedule, pdw.Options{
+			Budget:         solve.Budget{PerPath: *pathTL, Window: *winTL},
 			HeuristicPaths: *heuristic, HeuristicWindows: *heuristic,
 		})
 		if err != nil {
@@ -137,9 +141,7 @@ func main() {
 			fmt.Println(res.Stats.Summary())
 		}
 	case "dawo":
-		res, err := dawo.OptimizeContext(ctx, syn.Schedule, dawo.Options{
-			Budget: solve.Budget{Total: *budget},
-		})
+		res, err := dawo.Optimize(ctx, syn.Schedule, dawo.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -150,7 +152,7 @@ func main() {
 			fmt.Println(res.Stats.Summary())
 		}
 	case "demand":
-		res, err := demandwash.Optimize(syn.Schedule, demandwash.Options{})
+		res, err := demandwash.Optimize(ctx, syn.Schedule, demandwash.Options{})
 		if err != nil {
 			fatal(err)
 		}

@@ -57,6 +57,7 @@ import (
 	"pathdriverwash/internal/obs"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/report"
+	"pathdriverwash/internal/solve"
 )
 
 func main() {
@@ -175,11 +176,10 @@ func main() {
 	}
 
 	opts := harness.Options{PDW: pdw.Options{
-		PathTimeLimit: *pathTL, WindowTimeLimit: *winTL,
+		Budget: solve.Budget{PerPath: *pathTL, Window: *winTL},
 	}}
 	if *quick {
-		opts.PDW.PathTimeLimit = 500 * time.Millisecond
-		opts.PDW.WindowTimeLimit = 2 * time.Second
+		opts.PDW.Budget = solve.Budget{PerPath: 500 * time.Millisecond, Window: 2 * time.Second}
 		opts.BaseCompressLimit = time.Second
 	}
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -52,14 +53,15 @@ func main() {
 	targets := []geom.Point{geom.Pt(3, 5), geom.Pt(4, 5), geom.Pt(4, 6)}
 	fmt.Printf("wash targets: %v (device must not be flushed)\n\n", targets)
 
-	heur, err := washpath.Build(chip, washpath.Request{Targets: targets}, washpath.Options{})
+	ctx := context.Background()
+	heur, err := washpath.Build(ctx, chip, washpath.Request{Targets: targets}, washpath.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("BFS heuristic (DAWO style): %d cells, %s -> %s\n  %s\n\n",
 		heur.Path.Len(), heur.FlowPort.ID, heur.WastePort.ID, heur.Path)
 
-	exact, err := washpath.Build(chip, washpath.Request{Targets: targets},
+	exact, err := washpath.Build(ctx, chip, washpath.Request{Targets: targets},
 		washpath.Options{Exact: true, TimeLimit: 20 * time.Second})
 	if err != nil {
 		log.Fatal(err)

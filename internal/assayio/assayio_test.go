@@ -2,6 +2,7 @@ package assayio
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestDecodedAssaySynthesizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := synth.Synthesize(a, cfg)
+	res, err := synth.Synthesize(context.Background(), a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

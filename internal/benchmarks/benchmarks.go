@@ -44,15 +44,10 @@ type Benchmark struct {
 	Paper  PaperRow
 }
 
-// Synthesize builds the chip architecture and wash-free scheduling.
-func (b *Benchmark) Synthesize() (*synth.Result, error) {
-	return synth.Synthesize(b.Assay, b.Config)
-}
-
-// SynthesizeContext is Synthesize under a context (see
-// synth.SynthesizeContext for the cancellation contract).
-func (b *Benchmark) SynthesizeContext(ctx context.Context) (*synth.Result, error) {
-	return synth.SynthesizeContext(ctx, b.Assay, b.Config)
+// Synthesize builds the chip architecture and wash-free scheduling
+// under ctx (see synth.Synthesize for the cancellation contract).
+func (b *Benchmark) Synthesize(ctx context.Context) (*synth.Result, error) {
+	return synth.Synthesize(ctx, b.Assay, b.Config)
 }
 
 // All returns the eight Table II benchmarks in paper order.

@@ -1,6 +1,7 @@
 package benchmarks
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/contam"
@@ -35,7 +36,7 @@ func TestAllValidate(t *testing.T) {
 
 func TestAllSynthesize(t *testing.T) {
 	for _, b := range All() {
-		res, err := b.Synthesize()
+		res, err := b.Synthesize(context.Background())
 		if err != nil {
 			t.Errorf("%s: synthesize: %v", b.Name, err)
 			continue

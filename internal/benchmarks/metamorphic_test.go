@@ -45,7 +45,7 @@ func heuristicOpts() pdw.Options {
 
 func solvePDW(t *testing.T, base *schedule.Schedule) schedule.Metrics {
 	t.Helper()
-	res, err := pdw.OptimizeContext(context.Background(), base, heuristicOpts())
+	res, err := pdw.Optimize(context.Background(), base, heuristicOpts())
 	if err != nil {
 		t.Fatalf("pdw: %v", err)
 	}
@@ -54,7 +54,7 @@ func solvePDW(t *testing.T, base *schedule.Schedule) schedule.Metrics {
 
 func solveDAWO(t *testing.T, base *schedule.Schedule) schedule.Metrics {
 	t.Helper()
-	res, err := dawo.OptimizeContext(context.Background(), base, dawo.Options{
+	res, err := dawo.Optimize(context.Background(), base, dawo.Options{
 		Budget: solve.Budget{Total: 30 * time.Second},
 	})
 	if err != nil {
@@ -94,7 +94,7 @@ func TestRelabelInvariantTableII(t *testing.T) {
 	for _, b := range suite(t) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			syn, err := b.Synthesize()
+			syn, err := b.Synthesize(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestRelabelInvariantTableII(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rsyn, err := rb.Synthesize()
+			rsyn, err := rb.Synthesize(context.Background())
 			if err != nil {
 				t.Fatalf("relabeled benchmark no longer synthesizes: %v", err)
 			}
@@ -119,7 +119,7 @@ func TestPermuteInvariantTableII(t *testing.T) {
 	for _, b := range suite(t) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			syn, err := b.Synthesize()
+			syn, err := b.Synthesize(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package contam
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -292,7 +293,7 @@ func TestSynthesizedScheduleAnalysis(t *testing.T) {
 	a.MustAddOp(&assay.Operation{ID: "o3", Kind: assay.Mix, Duration: 2, Output: "f3"})
 	a.MustAddEdge("o1", "o3")
 	a.MustAddEdge("o2", "o3")
-	res, err := synth.Synthesize(a, Config{}.devices())
+	res, err := synth.Synthesize(context.Background(), a, Config{}.devices())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 )
 
 // crossChip: a plus-shaped junction at (2,2) with a port on each end.
@@ -96,7 +98,7 @@ func TestBuildPlanOnBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +125,12 @@ func TestBuildPlanOnWashedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pdw.Optimize(syn.Schedule, pdw.Options{
-		HeuristicWindows: true, PathTimeLimit: time.Second,
+	res, err := pdw.Optimize(context.Background(), syn.Schedule, pdw.Options{
+		HeuristicWindows: true, Budget: solve.Budget{PerPath: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,7 @@ func TestBuildPlanOnWashedSchedule(t *testing.T) {
 
 func TestPinSharingSavesPins(t *testing.T) {
 	b, _ := benchmarks.ByName("IVD")
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestPinSharingSavesPins(t *testing.T) {
 
 func TestAllBenchmarksValveConsistent(t *testing.T) {
 	for _, b := range benchmarks.All() {
-		syn, err := b.Synthesize()
+		syn, err := b.Synthesize(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/assay"
@@ -41,7 +42,7 @@ func TestRelabelFluidsBijection(t *testing.T) {
 
 func TestPermuteOpIDs(t *testing.T) {
 	b := mustGen(t, Params{Seed: 41, Ops: 12, Shape: Diamond, Density: 0.6})
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPermuteOpIDs(t *testing.T) {
 
 func TestPermuteOpIDsDeterministic(t *testing.T) {
 	b := mustGen(t, Params{Seed: 43, Ops: 10, Shape: Panel, Density: 0.5})
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

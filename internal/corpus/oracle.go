@@ -128,14 +128,14 @@ func CheckInstance(ctx context.Context, b *benchmarks.Benchmark, opts OracleOpti
 	opts = opts.withDefaults()
 	v := &Verdict{Instance: b.Name}
 
-	syn, err := b.SynthesizeContext(ctx)
+	syn, err := b.Synthesize(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: oracle %s: synthesize: %w", b.Name, err)
 	}
 	base := syn.Schedule
 
 	// PDW reference solve.
-	pres, err := pdw.OptimizeContext(ctx, base, oracleSolve(opts.Budget))
+	pres, err := pdw.Optimize(ctx, base, oracleSolve(opts.Budget))
 	if err != nil {
 		v.fail(InvOracleFailure, "pdw: %v", err)
 		return v, ctx.Err()
@@ -144,7 +144,7 @@ func CheckInstance(ctx context.Context, b *benchmarks.Benchmark, opts OracleOpti
 	v.checkClean(InvPDWClean, pres.Schedule)
 
 	// DAWO reference solve.
-	dres, err := dawo.OptimizeContext(ctx, base, dawo.Options{Budget: solve.Budget{Total: opts.Budget}})
+	dres, err := dawo.Optimize(ctx, base, dawo.Options{Budget: solve.Budget{Total: opts.Budget}})
 	if err != nil {
 		v.fail(InvOracleFailure, "dawo: %v", err)
 		return v, ctx.Err()
@@ -163,12 +163,12 @@ func CheckInstance(ctx context.Context, b *benchmarks.Benchmark, opts OracleOpti
 		if err != nil {
 			continue
 		}
-		heur, err := washpath.BuildContext(ctx, base.Chip, washpath.Request{Targets: targets},
+		heur, err := washpath.Build(ctx, base.Chip, washpath.Request{Targets: targets},
 			washpath.Options{})
 		if err != nil {
 			continue
 		}
-		exact, err := washpath.BuildContext(ctx, base.Chip, washpath.Request{Targets: targets},
+		exact, err := washpath.Build(ctx, base.Chip, washpath.Request{Targets: targets},
 			washpath.Options{Exact: true, TimeLimit: opts.PathTimeLimit})
 		if err != nil {
 			v.fail(InvExactLeHeur, "wash %s: exact build failed where heuristic succeeded: %v", w.ID, err)
@@ -183,7 +183,7 @@ func CheckInstance(ctx context.Context, b *benchmarks.Benchmark, opts OracleOpti
 
 	// Graceful degradation: a solve whose budget expires immediately
 	// must still deliver a feasible, contamination-free incumbent.
-	cres, err := pdw.OptimizeContext(ctx, base, oracleSolve(opts.CancelBudget))
+	cres, err := pdw.Optimize(ctx, base, oracleSolve(opts.CancelBudget))
 	if err != nil {
 		v.fail(InvCancelFeas, "budget-canceled solve errored: %v", err)
 	} else {
@@ -201,7 +201,7 @@ func CheckInstance(ctx context.Context, b *benchmarks.Benchmark, opts OracleOpti
 		v.fail(InvRelabelNWash, "relabel: %v", err)
 		return v, ctx.Err()
 	}
-	rsyn, err := rb.SynthesizeContext(ctx)
+	rsyn, err := rb.Synthesize(ctx)
 	if err != nil {
 		v.fail(InvRelabelNWash, "relabeled synthesize: %v", err)
 		return v, ctx.Err()
@@ -267,7 +267,7 @@ func (v *Verdict) checkClean(inv string, s *schedule.Schedule) {
 type solverFunc func(ctx context.Context, base *schedule.Schedule, budget time.Duration) (*schedule.Schedule, error)
 
 func pdwSolver(ctx context.Context, base *schedule.Schedule, budget time.Duration) (*schedule.Schedule, error) {
-	res, err := pdw.OptimizeContext(ctx, base, oracleSolve(budget))
+	res, err := pdw.Optimize(ctx, base, oracleSolve(budget))
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +275,7 @@ func pdwSolver(ctx context.Context, base *schedule.Schedule, budget time.Duratio
 }
 
 func dawoSolver(ctx context.Context, base *schedule.Schedule, budget time.Duration) (*schedule.Schedule, error) {
-	res, err := dawo.OptimizeContext(ctx, base, dawo.Options{Budget: solve.Budget{Total: budget}})
+	res, err := dawo.Optimize(ctx, base, dawo.Options{Budget: solve.Budget{Total: budget}})
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ func TestOracleCorpus200(t *testing.T) {
 
 func TestOracleRejectsTamperedSchedule(t *testing.T) {
 	b := mustGen(t, Params{Seed: 17, Ops: 8, Shape: Pipeline, Density: 1.0})
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,11 @@ var overrunInstances = []Params{
 // synthesize builds the wash-free base schedule without any deadline.
 func synthesize(t *testing.T, p Params) *schedule.Schedule {
 	t.Helper()
-	b, err := Generate(p)
+	b, err := Generate(context.Background(), p)
 	if err != nil {
-		t.Fatalf("Generate(%s): %v", p.Name, err)
+		t.Fatalf("Generate(context.Background(), %s): %v", p.Name, err)
 	}
-	syn, err := b.SynthesizeContext(context.Background())
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatalf("Synthesize(%s): %v", p.Name, err)
 	}
@@ -73,7 +73,7 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 			before := hist.Count()
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			start := time.Now()
-			res, err := pdw.OptimizeContext(ctx, base, pdw.Options{})
+			res, err := pdw.Optimize(ctx, base, pdw.Options{})
 			over := time.Since(start) - deadline
 			cancel()
 			if err != nil {
@@ -109,7 +109,7 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 			<-ctx.Done()
 			start := time.Now()
-			res, err := dawo.OptimizeContext(ctx, base, dawo.Options{})
+			res, err := dawo.Optimize(ctx, base, dawo.Options{})
 			wall := time.Since(start)
 			cancel()
 			if err != nil {
@@ -138,14 +138,14 @@ func TestDeadlineOverrunBounded(t *testing.T) {
 		const deadline = 100 * time.Millisecond
 		bound := 100 * time.Millisecond * raceFactor
 		p := Params{Name: "overrun-synth", Seed: 23, Ops: 400, Shape: Layered, Density: 1, ReagentRate: 2}
-		b, err := Generate(p)
+		b, err := Generate(context.Background(), p)
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		defer cancel()
 		start := time.Now()
-		_, err = b.SynthesizeContext(ctx)
+		_, err = b.Synthesize(ctx)
 		over := time.Since(start) - deadline
 		if !errors.Is(err, solve.ErrBudgetExceeded) {
 			t.Fatalf("synth under a %v deadline returned %v, want ErrBudgetExceeded", deadline, err)

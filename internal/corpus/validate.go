@@ -62,7 +62,7 @@ func Validate(ctx context.Context, b *benchmarks.Benchmark, level Level) error {
 	if err := b.Assay.Validate(); err != nil {
 		return fmt.Errorf("corpus: %s: assay: %w", b.Name, err)
 	}
-	syn, err := b.SynthesizeContext(ctx)
+	syn, err := b.Synthesize(ctx)
 	if err != nil {
 		return fmt.Errorf("corpus: %s: synthesize: %w", b.Name, err)
 	}
@@ -72,7 +72,7 @@ func Validate(ctx context.Context, b *benchmarks.Benchmark, level Level) error {
 	if level == LevelStructural {
 		return nil
 	}
-	res, err := pdw.OptimizeContext(ctx, syn.Schedule, washableProbe())
+	res, err := pdw.Optimize(ctx, syn.Schedule, washableProbe())
 	if err != nil {
 		return fmt.Errorf("corpus: %s: not washable: %w", b.Name, err)
 	}
@@ -83,7 +83,7 @@ func Validate(ctx context.Context, b *benchmarks.Benchmark, level Level) error {
 	if vs := rep.ByClass(sim.Contamination); len(vs) > 0 {
 		return fmt.Errorf("corpus: %s: sim replay found contamination: %v", b.Name, vs[0])
 	}
-	dres, err := dawo.OptimizeContext(ctx, syn.Schedule, dawo.Options{
+	dres, err := dawo.Optimize(ctx, syn.Schedule, dawo.Options{
 		Budget: solve.Budget{Total: 30 * time.Second},
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func Validate(ctx context.Context, b *benchmarks.Benchmark, level Level) error {
 // returning — the only constructor sweeps use, so no unvalidated
 // instance ever enters a corpus.
 func GenerateValidated(ctx context.Context, p Params, level Level) (*benchmarks.Benchmark, error) {
-	b, err := GenerateContext(ctx, p)
+	b, err := Generate(ctx, p)
 	if err != nil {
 		return nil, err
 	}

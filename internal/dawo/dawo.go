@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/obs"
@@ -36,17 +35,10 @@ type Options struct {
 	// MaxRounds caps wash-insertion fixpoint rounds (default 60).
 	MaxRounds int
 	// Budget bounds the run; only Budget.Total applies (DAWO solves no
-	// inner ILPs). Unlike the deprecated TimeLimit below, expiry of the
-	// Budget.Total deadline degrades gracefully: the remaining fixpoint
-	// rounds (pure BFS work) complete and the clean schedule is
-	// returned with Stats.Canceled set.
+	// inner ILPs). Expiry of the Budget.Total deadline degrades
+	// gracefully: the remaining fixpoint rounds (pure BFS work) complete
+	// and the clean schedule is returned with Stats.Canceled set.
 	Budget solve.Budget
-	// TimeLimit caps total optimization time (default 60 s) and errors
-	// on expiry.
-	//
-	// Deprecated: prefer Budget.Total (or a context deadline), which
-	// returns the finished schedule instead of an error.
-	TimeLimit time.Duration
 }
 
 // Result is the baseline's output.
@@ -66,29 +58,17 @@ type Result struct {
 // foreign task counts, even of the same fluid type.
 var policy = contam.Policy{IgnoreFluidTypes: true}
 
-// Optimize inserts washes into the base (wash-free) schedule; see
-// OptimizeContext.
-func Optimize(base *schedule.Schedule, opts Options) (*Result, error) {
-	return OptimizeContext(context.Background(), base, opts)
-}
-
-// OptimizeContext is Optimize under a context. DAWO's fixpoint rounds
-// are pure BFS and sweep work — there is no partial incumbent a caller
-// could use (an unconverged schedule is still contaminated) — so a
-// canceled ctx or an expired Budget.Total does not abort: the remaining
-// rounds complete (cheaply) and the clean schedule is returned with
-// Stats.Canceled set. Only the deprecated Options.TimeLimit errors on
-// expiry, preserving the historical contract.
-func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
+// Optimize inserts washes into the base (wash-free) schedule under ctx.
+// DAWO's fixpoint rounds are pure BFS and sweep work — there is no
+// partial incumbent a caller could use (an unconverged schedule is
+// still contaminated) — so a canceled ctx or an expired Budget.Total
+// does not abort: the remaining rounds complete (cheaply) and the clean
+// schedule is returned with Stats.Canceled set.
+func Optimize(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 60
 	}
-	tl := opts.TimeLimit
-	if tl <= 0 {
-		tl = 60 * time.Second
-	}
-	deadline := time.Now().Add(tl)
 	ctx, stop := opts.Budget.Context(ctx)
 	defer stop()
 	defer func() { solve.ObserveOverrun(ctx) }()
@@ -100,15 +80,12 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	prog := solve.ProgressFromContext(ctx)
 	stats.BindProgress(prog)
 	cp := solve.NewCheckpoint(ctx)
-	ctx, endFix := stats.StartPhaseContext(ctx, "wash-insertion")
+	ctx, endFix := stats.StartPhase(ctx, "wash-insertion")
 
 	cur := base
 	var washes []replan.WashSpec
 	var firstSkips map[contam.SkipReason]int
 	for round := 1; round <= maxRounds; round++ {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dawo: %w after %d rounds", solve.ErrBudgetExceeded, round-1)
-		}
 		// DAWO solves no ILPs; the fixpoint round is its unit of live
 		// progress (one label store per round, rounds are few).
 		prog.SetModel(fmt.Sprintf("bfs round %d", round))

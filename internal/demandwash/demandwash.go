@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/dawo"
@@ -36,12 +35,6 @@ type Options struct {
 	// fixpoint rounds complete and the clean schedule is returned with
 	// Stats.Canceled set.
 	Budget solve.Budget
-	// TimeLimit caps total optimization time (default 60 s) and errors
-	// on expiry.
-	//
-	// Deprecated: prefer Budget.Total (or a context deadline), which
-	// returns the finished schedule instead of an error.
-	TimeLimit time.Duration
 }
 
 // Result is the heuristic's output.
@@ -55,29 +48,16 @@ type Result struct {
 
 var policy = contam.Policy{IgnoreFluidTypes: true}
 
-// Optimize inserts maximally postponed washes into the base schedule;
-// see OptimizeContext.
-func Optimize(base *schedule.Schedule, opts Options) (*Result, error) {
-	return OptimizeContext(context.Background(), base, opts)
-}
-
-// OptimizeContext is Optimize under a context. Like DAWO, the fixpoint
-// must reach a contamination-free schedule to return anything usable,
-// so a canceled ctx or an expired Budget.Total does not abort: the
-// remaining rounds complete (pure BFS work) and the clean schedule is
-// returned with Stats.Canceled set. Only the deprecated
-// Options.TimeLimit errors on expiry, preserving the historical
-// contract.
-func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
+// Optimize inserts maximally postponed washes into the base schedule
+// under ctx. Like DAWO, the fixpoint must reach a contamination-free
+// schedule to return anything usable, so a canceled ctx or an expired
+// Budget.Total does not abort: the remaining rounds complete (pure BFS
+// work) and the clean schedule is returned with Stats.Canceled set.
+func Optimize(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 60
 	}
-	tl := opts.TimeLimit
-	if tl <= 0 {
-		tl = 60 * time.Second
-	}
-	deadline := time.Now().Add(tl)
 	ctx, stop := opts.Budget.Context(ctx)
 	defer stop()
 	defer func() { solve.ObserveOverrun(ctx) }()
@@ -86,9 +66,6 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	cur := base
 	var washes []replan.WashSpec
 	for round := 1; round <= maxRounds; round++ {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("demandwash: %w after %d rounds", solve.ErrBudgetExceeded, round-1)
-		}
 		an, err := analyzeRound(ctx, &cp, cur)
 		if err != nil {
 			return nil, err

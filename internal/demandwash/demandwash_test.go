@@ -1,6 +1,7 @@
 package demandwash
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -23,7 +25,7 @@ func fixture(t *testing.T) *synth.Result {
 		Reagents: []assay.FluidType{"r4"}})
 	a.MustAddEdge("o1", "o2")
 	a.MustAddEdge("o2", "o3")
-	res, err := synth.Synthesize(a, synth.Config{
+	res, err := synth.Synthesize(context.Background(), a, synth.Config{
 		Devices: []synth.DeviceSpec{{Kind: grid.Mixer, Count: 2}},
 	})
 	if err != nil {
@@ -34,7 +36,7 @@ func fixture(t *testing.T) *synth.Result {
 
 func TestReachesCleanFixpoint(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := Optimize(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestReachesCleanFixpoint(t *testing.T) {
 
 func TestWashesSitImmediatelyBeforeUsers(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := Optimize(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +82,12 @@ func TestWashesSitImmediatelyBeforeUsers(t *testing.T) {
 
 func TestSlowerThanPDW(t *testing.T) {
 	res := fixture(t)
-	dd, err := Optimize(res.Schedule, Options{})
+	dd, err := Optimize(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := pdw.Optimize(res.Schedule, pdw.Options{
-		PathTimeLimit: time.Second, WindowTimeLimit: 2 * time.Second,
+	pd, err := pdw.Optimize(context.Background(), res.Schedule, pdw.Options{
+		Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +102,11 @@ func TestSlowerThanPDW(t *testing.T) {
 
 func TestComparableWashCountToDAWO(t *testing.T) {
 	res := fixture(t)
-	dd, err := Optimize(res.Schedule, Options{})
+	dd, err := Optimize(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := dawo.Optimize(res.Schedule, dawo.Options{})
+	dw, err := dawo.Optimize(context.Background(), res.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +126,11 @@ func TestCleanAssayUntouched(t *testing.T) {
 	a := assay.New("clean")
 	a.MustAddOp(&assay.Operation{ID: "o1", Kind: assay.Mix, Duration: 2, Output: "f1",
 		Reagents: []assay.FluidType{"r1"}})
-	res, err := synth.Synthesize(a, synth.Config{})
+	res, err := synth.Synthesize(context.Background(), a, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Optimize(res.Schedule, Options{})
+	out, err := Optimize(context.Background(), res.Schedule, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

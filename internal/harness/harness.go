@@ -31,7 +31,7 @@ var (
 	// including ones never started because the sweep's context expired —
 	// RunPartial increments it, so failed sweeps are visible in /metrics
 	// and in the BenchFile metrics snapshot (benchErrorsTotal only sees
-	// runs that entered RunBenchmarkContext).
+	// runs that entered RunBenchmark).
 	benchFailuresTotal = obs.Default().Counter("pdw_harness_benchmark_failures_total")
 	workersBusy        = obs.Default().Gauge("pdw_harness_workers_busy")
 	workersTotal       = obs.Default().Gauge("pdw_harness_workers_total")
@@ -65,17 +65,12 @@ type Outcome struct {
 	SynthTime, CompressTime time.Duration
 }
 
-// RunBenchmark executes both methods on one benchmark.
-func RunBenchmark(b *benchmarks.Benchmark, opts Options) (*Outcome, error) {
-	return RunBenchmarkContext(context.Background(), b, opts)
-}
-
-// RunBenchmarkContext is RunBenchmark under a context. Cancellation
-// propagates into every solver phase; DAWO and PDW degrade to their
-// heuristic incumbents (see their OptimizeContext docs), so a canceled
+// RunBenchmark executes both methods on one benchmark under ctx.
+// Cancellation propagates into every solver phase; DAWO and PDW degrade
+// to their heuristic incumbents (see their Optimize docs), so a canceled
 // run still yields a valid, verified Outcome unless synthesis itself
 // was aborted at entry.
-func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Options) (_ *Outcome, err error) {
+func RunBenchmark(ctx context.Context, b *benchmarks.Benchmark, opts Options) (_ *Outcome, err error) {
 	if opts.BaseCompressLimit <= 0 {
 		opts.BaseCompressLimit = 5 * time.Second
 	}
@@ -103,13 +98,13 @@ func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Opti
 		}
 	}()
 	t0 := time.Now()
-	syn, err := b.SynthesizeContext(ctx)
+	syn, err := b.Synthesize(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", b.Name, err)
 	}
 	synthTime := time.Since(t0)
 	t0 = time.Now()
-	ref, err := pdw.CompressBaseContext(ctx, syn.Schedule, opts.BaseCompressLimit)
+	ref, err := pdw.CompressBase(ctx, syn.Schedule, opts.BaseCompressLimit)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: compress base: %w", b.Name, err)
 	}
@@ -117,14 +112,14 @@ func RunBenchmarkContext(ctx context.Context, b *benchmarks.Benchmark, opts Opti
 	obs.RecordSpan(ctx, "compress-base", t0, compressTime)
 
 	t0 = time.Now()
-	dres, err := dawo.OptimizeContext(ctx, syn.Schedule, opts.DAWO)
+	dres, err := dawo.Optimize(ctx, syn.Schedule, opts.DAWO)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: DAWO: %w", b.Name, err)
 	}
 	dTime := time.Since(t0)
 
 	t0 = time.Now()
-	pres, err := pdw.OptimizeContext(ctx, syn.Schedule, opts.PDW)
+	pres, err := pdw.Optimize(ctx, syn.Schedule, opts.PDW)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: PDW: %w", b.Name, err)
 	}
@@ -170,49 +165,23 @@ func clampNonNegative(v int) int {
 	return v
 }
 
-// RunAll executes all Table II benchmarks sequentially and returns
-// their outcomes in paper order.
-func RunAll(opts Options) ([]*Outcome, error) {
-	return Run(context.Background(), benchmarks.All(), opts, 1)
-}
-
-// RunAllParallel executes the benchmarks on a worker pool with at most
-// workers goroutines (0 selects GOMAXPROCS). Every benchmark run is
-// self-contained and deterministic, so the outcomes match RunAll; only
-// the per-run wall-clock measurements change under CPU contention.
-func RunAllParallel(opts Options, workers int) ([]*Outcome, error) {
-	return Run(context.Background(), benchmarks.All(), opts, workers)
-}
-
-// Run executes the given benchmarks on a bounded worker pool and
-// returns their outcomes in input order. workers caps pool size; 0 (or
-// any non-positive value) selects GOMAXPROCS, and the pool never grows
+// RunPartial executes the given benchmarks on a bounded worker pool and
+// returns their outcomes and per-benchmark errors, both in input order.
+// errs[i] is nil exactly when outs[i] is a valid outcome, so callers
+// can report which benchmarks failed instead of discarding the whole
+// run — cmd/pdwbench uses this to print every Table II row it can and
+// list the rest on stderr. workers caps pool size; 0 (or any
+// non-positive value) selects GOMAXPROCS, and the pool never grows
 // beyond the number of benchmarks. Jobs are drained from a shared
 // channel, so a slow benchmark never blocks the rest of the queue
-// behind it.
+// behind it. Every benchmark run is self-contained and deterministic,
+// so the outcomes do not depend on workers; only the per-run
+// wall-clock measurements change under CPU contention.
 //
 // Cancelling ctx stops feeding new jobs and propagates into every
 // in-flight solve; those runs degrade to their heuristic incumbents and
 // still produce valid outcomes, while benchmarks never started are
-// reported as a ctx.Err()-wrapped error. The first error in paper order
-// wins.
-func Run(ctx context.Context, benches []*benchmarks.Benchmark, opts Options, workers int) ([]*Outcome, error) {
-	outs, errs := RunPartial(ctx, benches, opts, workers)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
-}
-
-// RunPartial is Run without the first-error-wins contract: every
-// benchmark is attempted (subject to ctx), and the per-benchmark errors
-// come back alongside the outcomes, both in input order. errs[i] is nil
-// exactly when outs[i] is a valid outcome, so callers can report which
-// benchmarks failed instead of discarding the whole run — cmd/pdwbench
-// uses this to print every Table II row it can and list the rest on
-// stderr.
+// reported as a ctx.Err()-wrapped error.
 func RunPartial(ctx context.Context, benches []*benchmarks.Benchmark, opts Options, workers int) ([]*Outcome, []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -235,7 +204,7 @@ func RunPartial(ctx context.Context, benches []*benchmarks.Benchmark, opts Optio
 				if obs.Enabled() {
 					workersBusy.Add(1)
 				}
-				outs[i], errs[i] = RunBenchmarkContext(ctx, benches[i], opts)
+				outs[i], errs[i] = RunBenchmark(ctx, benches[i], opts)
 				if obs.Enabled() {
 					workersBusy.Add(-1)
 				}

@@ -9,13 +9,13 @@ import (
 	"pathdriverwash/internal/benchmarks"
 	"pathdriverwash/internal/contam"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 )
 
 func quickOpts() Options {
 	return Options{
 		PDW: pdw.Options{
-			PathTimeLimit:   500 * time.Millisecond,
-			WindowTimeLimit: 2 * time.Second,
+			Budget: solve.Budget{PerPath: 500 * time.Millisecond, Window: 2 * time.Second},
 		},
 		BaseCompressLimit: time.Second,
 	}
@@ -26,7 +26,7 @@ func TestRunBenchmarkPCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBenchmark(b, quickOpts())
+	out, err := RunBenchmark(context.Background(), b, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRowsAndComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunBenchmark(b, quickOpts())
+	out, err := RunBenchmark(context.Background(), b, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,8 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 		benches = fast
 	}
 	ctx := context.Background()
-	seq, err := Run(ctx, benches, deterministicOpts(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(ctx, benches, deterministicOpts(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runAll(t, ctx, benches, deterministicOpts(), 1)
+	par := runAll(t, ctx, benches, deterministicOpts(), 4)
 	if len(seq) != len(par) {
 		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
 	}
@@ -152,15 +146,29 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// runAll is RunPartial that fails the test on any per-benchmark error.
+func runAll(t *testing.T, ctx context.Context, benches []*benchmarks.Benchmark, opts Options, workers int) []*Outcome {
+	t.Helper()
+	outs, errs := RunPartial(ctx, benches, opts, workers)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return outs
+}
+
 func TestRunPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, benchmarks.All(), deterministicOpts(), 2)
-	if err == nil {
-		t.Fatal("pre-canceled sweep must report an error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want errors.Is(err, context.Canceled)", err)
+	_, errs := RunPartial(ctx, benchmarks.All(), deterministicOpts(), 2)
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("benchmark %d: pre-canceled sweep must report an error", i)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want errors.Is(err, context.Canceled)", err)
+		}
 	}
 }
 
@@ -169,10 +177,7 @@ func TestRunSingleWorkerSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := Run(context.Background(), []*benchmarks.Benchmark{b}, deterministicOpts(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := runAll(t, context.Background(), []*benchmarks.Benchmark{b}, deterministicOpts(), 8)
 	if len(outs) != 1 || outs[0].Row.Benchmark != "PCR" {
 		t.Fatalf("outs = %+v", outs)
 	}

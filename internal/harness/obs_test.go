@@ -26,7 +26,7 @@ func TestBenchmarkTraceCoverage(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 
-	if _, err := RunBenchmarkContext(context.Background(), b, quickOpts()); err != nil {
+	if _, err := RunBenchmark(context.Background(), b, quickOpts()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func TestTableIIShape(t *testing.T) {
 	for _, b := range benchmarks.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			out, err := RunBenchmark(b, quickOpts())
+			out, err := RunBenchmark(context.Background(), b, quickOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,19 +67,19 @@ func TestMotivatingExampleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := synth.SynthesizeOnChip(a, chip)
+	syn, err := synth.SynthesizeOnChip(context.Background(), a, chip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{})
+	dres, err := dawo.Optimize(context.Background(), syn.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := pdw.Optimize(syn.Schedule, quickOpts().PDW)
+	pres, err := pdw.Optimize(context.Background(), syn.Schedule, quickOpts().PDW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestRingTopologyShape(t *testing.T) {
 	a.MustAddOp(&assay.Operation{ID: "o3", Kind: assay.Heat, Duration: 3, Output: "f3"})
 	a.MustAddEdge("o1", "o2")
 	a.MustAddEdge("o2", "o3")
-	syn, err := synth.Synthesize(a, synth.Config{
+	syn, err := synth.Synthesize(context.Background(), a, synth.Config{
 		Topology: synth.Ring,
 		Devices: []synth.DeviceSpec{
 			{Kind: grid.Mixer, Count: 2}, {Kind: grid.Heater, Count: 1},
@@ -118,15 +119,15 @@ func TestRingTopologyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{})
+	dres, err := dawo.Optimize(context.Background(), syn.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := pdw.Optimize(syn.Schedule, quickOpts().PDW)
+	pres, err := pdw.Optimize(context.Background(), syn.Schedule, quickOpts().PDW)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -63,7 +65,7 @@ func TestStressLargeAssay(t *testing.T) {
 		t.Fatalf("ops = %d want 22 (4 lanes x 4 + 6 merge/finish)", len(a.Ops()))
 	}
 
-	syn, err := synth.Synthesize(a, synth.Config{Devices: []synth.DeviceSpec{
+	syn, err := synth.Synthesize(context.Background(), a, synth.Config{Devices: []synth.DeviceSpec{
 		{Kind: grid.Mixer, Count: 7}, {Kind: grid.Heater, Count: 5},
 		{Kind: grid.Detector, Count: 5}, {Kind: grid.Storage, Count: 2},
 		{Kind: grid.Filter, Count: 1},
@@ -77,12 +79,12 @@ func TestStressLargeAssay(t *testing.T) {
 	t.Logf("stress chip %dx%d, %d tasks, wash-free makespan %ds",
 		syn.Chip.W, syn.Chip.H, len(syn.Schedule.Tasks()), syn.Schedule.Makespan())
 
-	dres, err := dawo.Optimize(syn.Schedule, dawo.Options{TimeLimit: 5 * time.Minute, MaxRounds: 200})
+	dres, err := dawo.Optimize(context.Background(), syn.Schedule, dawo.Options{MaxRounds: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := pdw.Optimize(syn.Schedule, pdw.Options{
-		PathTimeLimit: 300 * time.Millisecond, WindowTimeLimit: 5 * time.Second,
+	pres, err := pdw.Optimize(context.Background(), syn.Schedule, pdw.Options{
+		Budget:    solve.Budget{PerPath: 300 * time.Millisecond, Window: 5 * time.Second},
 		MaxRounds: 200,
 	})
 	if err != nil {

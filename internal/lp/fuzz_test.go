@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -44,7 +45,7 @@ func FuzzSolve(f *testing.F) {
 			rel := Rel(int(math.Abs(next())) % 3)
 			p.AddConstraint(coefs, rel, next()*4, "fz")
 		}
-		res, err := Solve(p)
+		res, err := Solve(context.Background(), p)
 		if err != nil {
 			// Structured errors are fine; panics are the bug class.
 			return

@@ -180,17 +180,13 @@ const (
 	maxPivot = 200000
 )
 
-// Solve optimizes the problem with two-phase simplex.
-func Solve(p *Problem) (Result, error) {
-	return SolveContext(context.Background(), p)
-}
-
-// SolveContext is Solve honoring cancellation: the pivot loop checks ctx
-// every few dozen iterations and returns ctx.Err() once it is done.
-// Simplex keeps no feasible iterate worth returning mid-flight, so
-// cancellation surfaces as an error here; integer layers above treat it
-// like an iteration limit and fall back to their own incumbents.
-func SolveContext(ctx context.Context, p *Problem) (Result, error) {
+// Solve optimizes the problem with two-phase simplex, honoring
+// cancellation: the pivot loop checks ctx every few dozen iterations
+// and returns ctx.Err() once it is done. Simplex keeps no feasible
+// iterate worth returning mid-flight, so cancellation surfaces as an
+// error here; integer layers above treat it like an iteration limit and
+// fall back to their own incumbents.
+func Solve(ctx context.Context, p *Problem) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
@@ -289,7 +285,7 @@ type tableau struct {
 	check   solve.Checkpoint // optional cancellation, polled every ctxCheckEvery pivots
 
 	// prog is the optional live progress view resolved once from the
-	// context at SolveContext; progFlushed tracks the pivots already
+	// context at Solve; progFlushed tracks the pivots already
 	// published into it at the same ctxCheckEvery cadence as flushed.
 	prog        *solve.Progress
 	progFlushed int

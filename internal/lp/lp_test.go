@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(b)) }
 
 func solveOK(t *testing.T, p *Problem) Result {
 	t.Helper()
-	r, err := Solve(p)
+	r, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestInfeasible(t *testing.T) {
 	p.Objective = []float64{1}
 	p.AddConstraint(map[int]float64{0: 1}, LE, 1, "le")
 	p.AddConstraint(map[int]float64{0: 1}, GE, 2, "ge")
-	r, err := Solve(p)
+	r, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(1)
 	p.Objective = []float64{-1} // max x, no upper bound
 	p.AddConstraint(map[int]float64{0: 1}, GE, 0, "ge0")
-	r, err := Solve(p)
+	r, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestAllFixedInfeasibleConstant(t *testing.T) {
 	p := NewProblem(1)
 	p.SetBounds(0, 2, 2)
 	p.AddConstraint(map[int]float64{0: 1}, LE, 1, "bad")
-	r, err := Solve(p)
+	r, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,22 +231,22 @@ func TestRedundantEqualities(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	if _, err := Solve(&Problem{NumVars: 0}); err == nil {
+	if _, err := Solve(context.Background(), &Problem{NumVars: 0}); err == nil {
 		t.Error("zero variables must error")
 	}
 	p := NewProblem(1)
 	p.SetBounds(0, -1, 5)
-	if _, err := Solve(p); err == nil {
+	if _, err := Solve(context.Background(), p); err == nil {
 		t.Error("negative lower bound must error")
 	}
 	p2 := NewProblem(1)
 	p2.SetBounds(0, 5, 1)
-	if _, err := Solve(p2); err == nil {
+	if _, err := Solve(context.Background(), p2); err == nil {
 		t.Error("empty bound range must error")
 	}
 	p3 := NewProblem(1)
 	p3.AddConstraint(map[int]float64{4: 1}, LE, 1, "badvar")
-	if _, err := Solve(p3); err == nil {
+	if _, err := Solve(context.Background(), p3); err == nil {
 		t.Error("out-of-range variable must error")
 	}
 }
@@ -326,7 +327,7 @@ func TestRandomLPsAgainstEnumeration(t *testing.T) {
 				}
 			}
 		}
-		r, err := Solve(p)
+		r, err := Solve(context.Background(), p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/obs"
@@ -30,7 +31,7 @@ func TestObsCountersIncrease(t *testing.T) {
 	solves0 := obs.Default().Counter("pdw_lp_solves_total").Value()
 	pivots0 := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value()
 
-	res, err := Solve(pivotHeavyProblem(30))
+	res, err := Solve(context.Background(), pivotHeavyProblem(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestObsCountersIncrease(t *testing.T) {
 func TestObsDisabledCountersStill(t *testing.T) {
 	obs.Disable()
 	pivots0 := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value()
-	if _, err := Solve(pivotHeavyProblem(30)); err != nil {
+	if _, err := Solve(context.Background(), pivotHeavyProblem(30)); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default().Counter("pdw_lp_simplex_pivots_total").Value(); got != pivots0 {
@@ -69,7 +70,7 @@ func BenchmarkSimplexObsOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		obs.Disable()
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(pivotHeavyProblem(30)); err != nil {
+			if _, err := Solve(context.Background(), pivotHeavyProblem(30)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -78,7 +79,7 @@ func BenchmarkSimplexObsOverhead(b *testing.B) {
 		obs.Enable()
 		defer obs.Disable()
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(pivotHeavyProblem(30)); err != nil {
+			if _, err := Solve(context.Background(), pivotHeavyProblem(30)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,7 @@ import (
 func TestProgressPivotsPublished(t *testing.T) {
 	prog := solve.NewProgress()
 	ctx := solve.WithProgress(context.Background(), prog)
-	res, err := SolveContext(ctx, pivotHeavyProblem(30))
+	res, err := Solve(ctx, pivotHeavyProblem(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestProgressPivotsPublished(t *testing.T) {
 func TestProgressAbsentIsFree(t *testing.T) {
 	// Without a progress view on the context, the solve must not panic
 	// and publishes nowhere (the nil-receiver contract).
-	res, err := SolveContext(context.Background(), pivotHeavyProblem(30))
+	res, err := Solve(context.Background(), pivotHeavyProblem(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func BenchmarkProgressOverhead(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			if _, err := SolveContext(ctx, pivotHeavyProblem(30)); err != nil {
+			if _, err := Solve(ctx, pivotHeavyProblem(30)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,7 +54,7 @@ func BenchmarkProgressOverhead(b *testing.B) {
 	b.Run("progress", func(b *testing.B) {
 		ctx := solve.WithProgress(context.Background(), solve.NewProgress())
 		for i := 0; i < b.N; i++ {
-			if _, err := SolveContext(ctx, pivotHeavyProblem(30)); err != nil {
+			if _, err := Solve(ctx, pivotHeavyProblem(30)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,7 +39,7 @@ func TestSolveContextCancelReturnsIncumbentFast(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		r, err := SolveContext(ctx, p, Options{TimeLimit: time.Minute, Incumbent: inc})
+		r, err := Solve(ctx, p, Options{TimeLimit: time.Minute, Incumbent: inc})
 		done <- outcome{r, err}
 	}()
 
@@ -75,7 +75,7 @@ func TestSolveContextDeadlineBeatsTimeLimit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	r, err := SolveContext(ctx, p, Options{TimeLimit: time.Minute, Incumbent: inc})
+	r, err := Solve(ctx, p, Options{TimeLimit: time.Minute, Incumbent: inc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSolveContextPreCanceled(t *testing.T) {
 	p, inc := hardKnapsack(20)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := SolveContext(ctx, p, Options{Incumbent: inc})
+	r, err := Solve(ctx, p, Options{Incumbent: inc})
 	if err != nil {
 		t.Fatalf("pre-canceled ctx must not error: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestBadIncumbentIsErrInfeasible(t *testing.T) {
 	p := NewProblem(0)
 	v := p.AddBinary()
 	p.LP.AddConstraint(map[int]float64{v: 1}, lp.LE, 0, "zero")
-	_, err := Solve(p, Options{Incumbent: []float64{1}})
+	_, err := Solve(context.Background(), p, Options{Incumbent: []float64{1}})
 	if err == nil {
 		t.Fatal("infeasible incumbent must be rejected")
 	}

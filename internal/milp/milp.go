@@ -190,19 +190,13 @@ func (q *nodeQueue) Pop() any {
 	return it
 }
 
-// Solve runs branch & bound without external cancellation; see
-// SolveContext for the context-aware form.
-func Solve(p *Problem, opts Options) (Result, error) {
-	return SolveContext(context.Background(), p, opts)
-}
-
-// SolveContext runs branch & bound under ctx. The effective deadline is
+// Solve runs branch & bound under ctx. The effective deadline is
 // the earlier of ctx's deadline and Options.TimeLimit (zero TimeLimit:
 // DefaultTimeLimit). Cancellation and deadline expiry are never errors:
 // the search stops promptly — mid-relaxation included — and returns the
 // best feasible incumbent (Status Feasible), or Status Limit when none
 // was found yet.
-func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, err error) {
+func Solve(ctx context.Context, p *Problem, opts Options) (res Result, err error) {
 	start := time.Now()
 	if len(p.Integer) != p.LP.NumVars {
 		return Result{}, fmt.Errorf("milp: Integer has %d marks for %d variables", len(p.Integer), p.LP.NumVars)
@@ -311,7 +305,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (res Result, er
 			}
 		}
 		sub.Lower, sub.Upper = lo, hi
-		return lp.SolveContext(dctx, &sub)
+		return lp.Solve(dctx, &sub)
 	}
 
 	root := &node{bound: math.Inf(-1), fixLo: map[int]float64{}, fixHi: map[int]float64{}, branch: -1}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-5*(1+math.Abs(b)) }
 
 func solveOpt(t *testing.T, p *Problem) Result {
 	t.Helper()
-	r, err := Solve(p, Options{TimeLimit: 20 * time.Second})
+	r, err := Solve(context.Background(), p, Options{TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	a := p.AddBinary()
 	b := p.AddBinary()
 	p.LP.AddConstraint(map[int]float64{a: 1, b: 1}, lp.GE, 3, "impossible")
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestUnboundedMILP(t *testing.T) {
 	p := NewProblem(0)
 	x := p.AddContinuous(0, math.Inf(1))
 	p.SetObjective(x, -1)
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestIncumbentPruning(t *testing.T) {
 	p.SetObjective(a, -3)
 	p.SetObjective(b, -2)
 	p.LP.AddConstraint(map[int]float64{a: 1, b: 1}, lp.LE, 1, "one")
-	r, err := Solve(p, Options{Incumbent: []float64{1, 0}})
+	r, err := Solve(context.Background(), p, Options{Incumbent: []float64{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestBadIncumbentRejected(t *testing.T) {
 	p := NewProblem(0)
 	a := p.AddBinary()
 	p.LP.AddConstraint(map[int]float64{a: 1}, lp.LE, 0, "zero")
-	if _, err := Solve(p, Options{Incumbent: []float64{1}}); err == nil {
+	if _, err := Solve(context.Background(), p, Options{Incumbent: []float64{1}}); err == nil {
 		t.Fatal("infeasible incumbent must be rejected")
 	}
-	if _, err := Solve(p, Options{Incumbent: []float64{0.5}}); err == nil {
+	if _, err := Solve(context.Background(), p, Options{Incumbent: []float64{0.5}}); err == nil {
 		t.Fatal("fractional incumbent must be rejected")
 	}
-	if _, err := Solve(p, Options{Incumbent: []float64{0, 0}}); err == nil {
+	if _, err := Solve(context.Background(), p, Options{Incumbent: []float64{0, 0}}); err == nil {
 		t.Fatal("wrong-length incumbent must be rejected")
 	}
 }
@@ -142,7 +143,7 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 	p.LP.AddConstraint(coefs, lp.LE, 9, "cap")
 	inc := make([]float64, len(vars))
-	r, err := Solve(p, Options{TimeLimit: time.Nanosecond, Incumbent: inc})
+	r, err := Solve(context.Background(), p, Options{TimeLimit: time.Nanosecond, Incumbent: inc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestNodeLimit(t *testing.T) {
 		coefs[v] = float64(2 + i%5)
 	}
 	p.LP.AddConstraint(coefs, lp.LE, 11, "cap")
-	r, err := Solve(p, Options{MaxNodes: 1})
+	r, err := Solve(context.Background(), p, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestStatusString(t *testing.T) {
 func TestIntegerMarksLengthChecked(t *testing.T) {
 	p := NewProblem(2)
 	p.Integer = p.Integer[:1]
-	if _, err := Solve(p, Options{}); err == nil {
+	if _, err := Solve(context.Background(), p, Options{}); err == nil {
 		t.Fatal("mismatched Integer length must error")
 	}
 }
@@ -258,7 +259,7 @@ func TestRandomKnapsacksAgainstBruteForce(t *testing.T) {
 				best = v
 			}
 		}
-		r, err := Solve(p, Options{TimeLimit: 20 * time.Second})
+		r, err := Solve(context.Background(), p, Options{TimeLimit: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -335,11 +336,11 @@ func TestRelaxationBoundProperty(t *testing.T) {
 		p.LP.AddConstraint(ge, lp.GE, 1, "atleast")
 
 		relax := p.LP
-		relaxed, err := lp.Solve(&relax)
+		relaxed, err := lp.Solve(context.Background(), &relax)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(p, Options{TimeLimit: 20 * time.Second})
+		res, err := Solve(context.Background(), p, Options{TimeLimit: 20 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

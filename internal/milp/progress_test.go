@@ -29,7 +29,7 @@ func progressKnapsack(n int) *Problem {
 func TestProgressPublishedFromBranchAndBound(t *testing.T) {
 	prog := solve.NewProgress()
 	ctx := solve.WithProgress(context.Background(), prog)
-	res, err := SolveContext(ctx, progressKnapsack(16), Options{TimeLimit: 20 * time.Second})
+	res, err := Solve(ctx, progressKnapsack(16), Options{TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestProgressCountsPruning(t *testing.T) {
 			coefs[v] = float64(rng.Intn(9) + 1)
 		}
 		p.LP.AddConstraint(coefs, lp.LE, float64(rng.Intn(3*n)+1), "cap")
-		if _, err := SolveContext(ctx, p, Options{TimeLimit: 20 * time.Second}); err != nil {
+		if _, err := Solve(ctx, p, Options{TimeLimit: 20 * time.Second}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func pcrSchedule(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +29,8 @@ func pcrSchedule(t *testing.T) *Result {
 	done := make(chan *Result, 1)
 	errc := make(chan error, 1)
 	go func() {
-		res, err := OptimizeContext(ctx, syn.Schedule, Options{
-			PathTimeLimit:   10 * time.Second,
-			WindowTimeLimit: time.Minute,
+		res, err := Optimize(ctx, syn.Schedule, Options{
+			Budget: solve.Budget{PerPath: 10 * time.Second, Window: time.Minute},
 		})
 		if err != nil {
 			errc <- err
@@ -73,7 +72,7 @@ func TestOptimizeContextCancelReturnsIncumbentFast(t *testing.T) {
 
 func TestBudgetTotalDegradesGracefully(t *testing.T) {
 	res := fixture(t)
-	out, err := OptimizeContext(context.Background(), res.Schedule, Options{
+	out, err := Optimize(context.Background(), res.Schedule, Options{
 		Budget: solve.Budget{Total: time.Nanosecond},
 	})
 	if err != nil {
@@ -87,26 +86,24 @@ func TestBudgetTotalDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestBudgetFieldsWinOverDeprecatedLimits pins how the inner-solve caps
+// resolve: set Budget fields are kept, and zero ones take the package
+// defaults (3 s per path, 10 s for the window MILP).
 func TestBudgetFieldsWinOverDeprecatedLimits(t *testing.T) {
-	o := Options{
-		Budget:          solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
-		PathTimeLimit:   9 * time.Second,
-		WindowTimeLimit: 9 * time.Second,
-	}
+	o := Options{Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second}}
 	w := o.withDefaults()
-	if w.PathTimeLimit != time.Second || w.WindowTimeLimit != 2*time.Second {
-		t.Fatalf("limits = %v/%v, want Budget fields to win", w.PathTimeLimit, w.WindowTimeLimit)
+	if w.Budget.PerPath != time.Second || w.Budget.Window != 2*time.Second {
+		t.Fatalf("limits = %v/%v, want the Budget fields", w.Budget.PerPath, w.Budget.Window)
 	}
-	// Without Budget, the deprecated aliases still apply.
-	o = Options{PathTimeLimit: 4 * time.Second}
-	if w := o.withDefaults(); w.PathTimeLimit != 4*time.Second {
-		t.Fatalf("deprecated PathTimeLimit ignored: %v", w.PathTimeLimit)
+	w = Options{}.withDefaults()
+	if w.Budget.PerPath != 3*time.Second || w.Budget.Window != 10*time.Second {
+		t.Fatalf("default limits = %v/%v, want 3s/10s", w.Budget.PerPath, w.Budget.Window)
 	}
 }
 
 func TestStatsRecorded(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

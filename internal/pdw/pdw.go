@@ -51,21 +51,11 @@ type Options struct {
 
 	// Budget bounds the run: Budget.Total sets a wall-clock deadline
 	// for the whole pipeline (enforced through the context, degrading
-	// every later phase to its incumbent on expiry), Budget.PerPath and
-	// Budget.Window cap the inner ILPs. Budget fields win over the
-	// deprecated per-phase fields below.
+	// every later phase to its incumbent on expiry), Budget.PerPath caps
+	// each wash-path ILP (default 3 s) and Budget.Window the time-window
+	// MILP (default 10 s).
 	Budget solve.Budget
 
-	// PathTimeLimit bounds each wash-path ILP (default 3 s).
-	//
-	// Deprecated: alias of Budget.PerPath, kept for callers of the
-	// pre-Budget API.
-	PathTimeLimit time.Duration
-	// WindowTimeLimit bounds the time-window MILP (default 10 s).
-	//
-	// Deprecated: alias of Budget.Window, kept for callers of the
-	// pre-Budget API.
-	WindowTimeLimit time.Duration
 	// MergeRadius is the Manhattan distance under which wash groups are
 	// merged into one path (default 4).
 	MergeRadius int
@@ -90,8 +80,8 @@ func (o Options) withDefaults() Options {
 	if o.Alpha == 0 && o.Beta == 0 && o.Gamma == 0 {
 		o.Alpha, o.Beta, o.Gamma = 0.3, 0.3, 0.4
 	}
-	o.PathTimeLimit = solve.Or(o.Budget.PerPath, o.PathTimeLimit, 3*time.Second)
-	o.WindowTimeLimit = solve.Or(o.Budget.Window, o.WindowTimeLimit, 10*time.Second)
+	o.Budget.PerPath = solve.Or(o.Budget.PerPath, 3*time.Second)
+	o.Budget.Window = solve.Or(o.Budget.Window, 10*time.Second)
 	if o.MergeRadius <= 0 {
 		o.MergeRadius = 4
 	}
@@ -126,26 +116,22 @@ type Result struct {
 	Stats *solve.Stats
 }
 
-// Optimize runs PDW on a wash-free base schedule; see OptimizeContext.
-func Optimize(base *schedule.Schedule, opts Options) (*Result, error) {
-	return OptimizeContext(context.Background(), base, opts)
-}
-
-// OptimizeContext runs PDW under ctx. Cancellation (or expiry of the
-// ctx deadline / Options.Budget.Total) never aborts with an error once
-// the pipeline is running: the wash-insertion fixpoint still runs to a
-// contamination-free fixpoint (a partially washed schedule is not a
-// feasible incumbent), but every loop inside it polls an amortized
-// solve.Checkpoint, and once cancellation is observed the remaining
-// rounds run in completion mode — wash paths degrade to the BFS
-// heuristic, group merging and ψ-integration are skipped, and the
-// time-window MILP is bypassed in favor of its greedy warm-start. The
+// Optimize runs PDW on a wash-free base schedule under ctx.
+// Cancellation (or expiry of the ctx deadline / Options.Budget.Total)
+// never aborts with an error once the pipeline is running: the
+// wash-insertion fixpoint still runs to a contamination-free fixpoint
+// (a partially washed schedule is not a feasible incumbent), but every
+// loop inside it polls an amortized solve.Checkpoint, and once
+// cancellation is observed the remaining rounds run in completion mode
+// — wash paths degrade to the BFS heuristic, group merging and
+// ψ-integration are skipped, and the time-window MILP is bypassed in
+// favor of its greedy warm-start. The
 // result is the best feasible (clean, valid) schedule reached — with
 // Stats.Canceled set so callers can tell — and the distance between
 // deadline expiry and return is recorded in the
 // pdw_deadline_overrun_seconds histogram (the cancellation granularity
 // contract in DESIGN.md).
-func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
+func Optimize(ctx context.Context, base *schedule.Schedule, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	ctx, stop := opts.Budget.Context(ctx)
 	defer stop()
@@ -166,12 +152,13 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 		pol = contam.Policy{IgnoreFluidTypes: true}
 	}
 
-	insCtx, endInsertion := stats.StartPhaseContext(ctx, "wash-insertion")
+	insCtx, endInsertion := stats.StartPhase(ctx, "wash-insertion")
 	cur := base
 	var washes []replan.WashSpec
 	integrated := map[string]bool{}
 	rounds := 0
 	var firstSkips map[contam.SkipReason]int
+	var plan *replan.Plan
 	for ; rounds < opts.MaxRounds; rounds++ {
 		an, err := analyze(insCtx, &cp, cur, pol)
 		if err != nil {
@@ -196,7 +183,7 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 			}
 			washes = append(washes, specs...)
 		}
-		plan, err := replan.Build(base, washes)
+		plan, err = replan.Build(base, washes)
 		if err != nil {
 			return nil, err
 		}
@@ -218,21 +205,26 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 	stats.SetSkips(skipNames(firstSkips))
 
 	// Final time-window optimization (Eqs. 16-22 with disjunctions).
-	plan, err := replan.Build(base, washes)
-	if err != nil {
-		return nil, err
-	}
-	greedy, err := plan.Greedy()
-	if err != nil {
-		return nil, err
+	// The last round's plan already holds every wash and cur is its
+	// greedy schedule, so the plan is rebuilt only when no round
+	// inserted a wash.
+	greedy := cur
+	if plan == nil {
+		var err error
+		if plan, err = replan.Build(base, washes); err != nil {
+			return nil, err
+		}
+		if greedy, err = plan.Greedy(); err != nil {
+			return nil, err
+		}
 	}
 	final := greedy
 	// A done context skips the window MILP outright: its result would be
 	// the greedy warm-start (which final already is), and even building
 	// the model costs a pass over every edge pair.
 	if !opts.HeuristicWindows && len(washes) > 0 && cp.Err() == nil {
-		wctx, endWindows := stats.StartPhaseContext(ctx, "window-milp")
-		optimized, optimal, err := optimizeWindows(wctx, plan, greedy, opts.WindowTimeLimit, stats)
+		wctx, endWindows := stats.StartPhase(ctx, "window-milp")
+		optimized, optimal, err := optimizeWindows(wctx, plan, greedy, opts.Budget.Window, stats)
 		endWindows()
 		if err == nil && optimized != nil {
 			if contam.Verify(optimized) == nil {
@@ -241,7 +233,7 @@ func OptimizeContext(ctx context.Context, base *schedule.Schedule, opts Options)
 			}
 		}
 	}
-	_, endVerify := stats.StartPhaseContext(ctx, "verify")
+	_, endVerify := stats.StartPhase(ctx, "verify")
 	if err := final.Validate(); err != nil {
 		return nil, fmt.Errorf("pdw: final schedule invalid: %w", err)
 	}
@@ -317,7 +309,7 @@ func buildWashSpecs(ctx context.Context, cp *solve.Checkpoint, cur *schedule.Sch
 
 	cp.Err()
 	wopts := washpath.Options{Exact: !opts.HeuristicPaths && !cp.Canceled(),
-		TimeLimit: opts.PathTimeLimit, Trace: stats}
+		TimeLimit: opts.Budget.PerPath, Trace: stats}
 	plans, covered, err := washpath.BuildCoverContext(ctx, cur.Chip, g.Targets, wopts)
 	if err != nil {
 		return nil, fmt.Errorf("pdw: wash path for %v: %w", g.Targets, err)

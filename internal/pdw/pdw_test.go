@@ -1,6 +1,7 @@
 package pdw
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -26,7 +28,7 @@ func fixture(t *testing.T) *synth.Result {
 		Reagents: []assay.FluidType{"r4"}})
 	a.MustAddEdge("o1", "o2")
 	a.MustAddEdge("o2", "o3")
-	res, err := synth.Synthesize(a, synth.Config{
+	res, err := synth.Synthesize(context.Background(), a, synth.Config{
 		Devices: []synth.DeviceSpec{{Kind: grid.Mixer, Count: 2}},
 	})
 	if err != nil {
@@ -37,7 +39,7 @@ func fixture(t *testing.T) *synth.Result {
 
 func TestFixtureActuallyNeedsWashes(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +53,12 @@ func TestFixtureActuallyNeedsWashes(t *testing.T) {
 
 // fastOpts keeps test solves quick.
 func fastOpts() Options {
-	return Options{PathTimeLimit: 2 * time.Second, WindowTimeLimit: 3 * time.Second}
+	return Options{Budget: solve.Budget{PerPath: 2 * time.Second, Window: 3 * time.Second}}
 }
 
 func TestOptimizeProducesCleanValidSchedule(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestOptimizeProducesCleanValidSchedule(t *testing.T) {
 
 func TestObjectiveComputed(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,11 @@ func TestObjectiveComputed(t *testing.T) {
 
 func TestPDWBeatsOrMatchesDAWO(t *testing.T) {
 	res := fixture(t)
-	pd, err := Optimize(res.Schedule, fastOpts())
+	pd, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := dawo.Optimize(res.Schedule, dawo.Options{})
+	dw, err := dawo.Optimize(context.Background(), res.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +113,13 @@ func TestPDWBeatsOrMatchesDAWO(t *testing.T) {
 
 func TestNecessityAblationWashesMore(t *testing.T) {
 	res := fixture(t)
-	on, err := Optimize(res.Schedule, fastOpts())
+	on, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	offOpts := fastOpts()
 	offOpts.DisableNecessity = true
-	off, err := Optimize(res.Schedule, offOpts)
+	off, err := Optimize(context.Background(), res.Schedule, offOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +132,13 @@ func TestNecessityAblationWashesMore(t *testing.T) {
 
 func TestMergeAblation(t *testing.T) {
 	res := fixture(t)
-	on, err := Optimize(res.Schedule, fastOpts())
+	on, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	offOpts := fastOpts()
 	offOpts.DisableMerge = true
-	off, err := Optimize(res.Schedule, offOpts)
+	off, err := Optimize(context.Background(), res.Schedule, offOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestHeuristicModesStillClean(t *testing.T) {
 	opts := fastOpts()
 	opts.HeuristicPaths = true
 	opts.HeuristicWindows = true
-	out, err := Optimize(res.Schedule, opts)
+	out, err := Optimize(context.Background(), res.Schedule, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestHeuristicModesStillClean(t *testing.T) {
 
 func TestIntegrationReducesActiveRemovals(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +199,11 @@ func TestCleanAssayNeedsNoWashes(t *testing.T) {
 	a := assay.New("clean")
 	a.MustAddOp(&assay.Operation{ID: "o1", Kind: assay.Mix, Duration: 2, Output: "f1",
 		Reagents: []assay.FluidType{"r1"}})
-	res, err := synth.Synthesize(a, synth.Config{})
+	res, err := synth.Synthesize(context.Background(), a, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +217,11 @@ func TestCleanAssayNeedsNoWashes(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	res := fixture(t)
-	o1, err := Optimize(res.Schedule, fastOpts())
+	o1, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := Optimize(res.Schedule, fastOpts())
+	o2, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,13 +233,13 @@ func TestDeterministic(t *testing.T) {
 
 func TestWindowMILPNotWorseThanGreedy(t *testing.T) {
 	res := fixture(t)
-	milpOut, err := Optimize(res.Schedule, fastOpts())
+	milpOut, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	gOpts := fastOpts()
 	gOpts.HeuristicWindows = true
-	gOut, err := Optimize(res.Schedule, gOpts)
+	gOut, err := Optimize(context.Background(), res.Schedule, gOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestDefaultWeights(t *testing.T) {
 
 func TestSkipsReported(t *testing.T) {
 	res := fixture(t)
-	out, err := Optimize(res.Schedule, fastOpts())
+	out, err := Optimize(context.Background(), res.Schedule, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

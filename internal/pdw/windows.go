@@ -106,7 +106,7 @@ func optimizeWindows(ctx context.Context, plan *replan.Plan, greedy *schedule.Sc
 	}
 
 	solve.ProgressFromContext(ctx).SetModel("window-milp")
-	res, err := milp.SolveContext(ctx, prob, milp.Options{TimeLimit: limit, Incumbent: inc})
+	res, err := milp.Solve(ctx, prob, milp.Options{TimeLimit: limit, Incumbent: inc})
 	if err != nil {
 		return nil, false, err
 	}
@@ -149,14 +149,9 @@ func optimizeWindows(ctx context.Context, plan *replan.Plan, greedy *schedule.Sc
 // the model is a pure LP over start times). It provides the fair
 // wash-free T_assay reference against which T_delay and waiting times
 // are measured; without it, PDW's ILP could look faster than the
-// greedy-scheduled input and report negative wash delay.
-func CompressBase(base *schedule.Schedule, limit time.Duration) (*schedule.Schedule, error) {
-	return CompressBaseContext(context.Background(), base, limit)
-}
-
-// CompressBaseContext is CompressBase under a context; a canceled ctx
-// falls back to the greedy schedule (never an error).
-func CompressBaseContext(ctx context.Context, base *schedule.Schedule, limit time.Duration) (*schedule.Schedule, error) {
+// greedy-scheduled input and report negative wash delay. A canceled
+// ctx falls back to the greedy schedule (never an error).
+func CompressBase(ctx context.Context, base *schedule.Schedule, limit time.Duration) (*schedule.Schedule, error) {
 	plan, err := replan.Build(base, nil)
 	if err != nil {
 		return nil, err

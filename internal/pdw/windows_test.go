@@ -10,11 +10,12 @@ import (
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/replan"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 )
 
 func TestCompressBaseNeverSlower(t *testing.T) {
 	res := fixture(t)
-	ref, err := CompressBase(res.Schedule, 3*time.Second)
+	ref, err := CompressBase(context.Background(), res.Schedule, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +32,9 @@ func TestOptimizeWindowsMatchesGreedyOrBetter(t *testing.T) {
 	res := fixture(t)
 	// Run PDW's wash discovery only (heuristic windows), then compare
 	// the MILP result on the same wash set.
-	out, err := Optimize(res.Schedule, Options{
+	out, err := Optimize(context.Background(), res.Schedule, Options{
 		HeuristicWindows: true,
-		PathTimeLimit:    time.Second,
+		Budget:           solve.Budget{PerPath: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

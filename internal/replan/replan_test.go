@@ -1,6 +1,7 @@
 package replan
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func fixture(t *testing.T) (*synth.Result, *contam.Analysis) {
 	a.MustAddOp(&assay.Operation{ID: "o2", Kind: assay.Mix, Duration: 2, Output: "f2",
 		Reagents: []assay.FluidType{"r3"}})
 	a.MustAddEdge("o1", "o2")
-	res, err := synth.Synthesize(a, synth.Config{
+	res, err := synth.Synthesize(context.Background(), a, synth.Config{
 		Devices: []synth.DeviceSpec{{Kind: grid.Mixer, Count: 2}},
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package scheduleio
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"pathdriverwash/internal/benchmarks"
 	"pathdriverwash/internal/pdw"
 	"pathdriverwash/internal/schedule"
+	"pathdriverwash/internal/solve"
 )
 
 func TestEncodeRoundtripsThroughJSON(t *testing.T) {
@@ -16,12 +18,12 @@ func TestEncodeRoundtripsThroughJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pdw.Optimize(syn.Schedule, pdw.Options{
-		HeuristicWindows: true, PathTimeLimit: time.Second,
+	res, err := pdw.Optimize(context.Background(), syn.Schedule, pdw.Options{
+		HeuristicWindows: true, Budget: solve.Budget{PerPath: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +71,7 @@ func TestEncodeRoundtripsThroughJSON(t *testing.T) {
 
 func TestTasksSortedByStart(t *testing.T) {
 	b, _ := benchmarks.ByName("Kinase act-1")
-	syn, err := b.Synthesize()
+	syn, err := b.Synthesize(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"pathdriverwash/internal/dawo"
 	"pathdriverwash/internal/grid"
 	"pathdriverwash/internal/pdw"
+	"pathdriverwash/internal/solve"
 	"pathdriverwash/internal/synth"
 )
 
@@ -24,7 +26,7 @@ func synthFixture(t *testing.T) *synth.Result {
 		Reagents: []assay.FluidType{"r4"}})
 	a.MustAddEdge("o1", "o2")
 	a.MustAddEdge("o2", "o3")
-	res, err := synth.Synthesize(a, synth.Config{
+	res, err := synth.Synthesize(context.Background(), a, synth.Config{
 		Devices: []synth.DeviceSpec{{Kind: grid.Mixer, Count: 2}},
 	})
 	if err != nil {
@@ -50,8 +52,8 @@ func TestWashFreeScheduleHasContaminationOnly(t *testing.T) {
 
 func TestPDWScheduleSimulatesClean(t *testing.T) {
 	res := synthFixture(t)
-	out, err := pdw.Optimize(res.Schedule, pdw.Options{
-		PathTimeLimit: time.Second, WindowTimeLimit: 2 * time.Second,
+	out, err := pdw.Optimize(context.Background(), res.Schedule, pdw.Options{
+		Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestPDWScheduleSimulatesClean(t *testing.T) {
 
 func TestDAWOScheduleSimulatesClean(t *testing.T) {
 	res := synthFixture(t)
-	out, err := dawo.Optimize(res.Schedule, dawo.Options{})
+	out, err := dawo.Optimize(context.Background(), res.Schedule, dawo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +87,12 @@ func TestAllBenchmarksSimulateCleanUnderPDW(t *testing.T) {
 		t.Skip("benchmark sweep skipped in -short mode")
 	}
 	for _, b := range benchmarks.All() {
-		syn, err := b.Synthesize()
+		syn, err := b.Synthesize(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		out, err := pdw.Optimize(syn.Schedule, pdw.Options{
-			PathTimeLimit: 500 * time.Millisecond, WindowTimeLimit: 2 * time.Second,
+		out, err := pdw.Optimize(context.Background(), syn.Schedule, pdw.Options{
+			Budget: solve.Budget{PerPath: 500 * time.Millisecond, Window: 2 * time.Second},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
@@ -120,8 +122,8 @@ func min(a, b int) int {
 // assert the simulator flags each corruption class.
 func TestFailureInjection(t *testing.T) {
 	res := synthFixture(t)
-	out, err := pdw.Optimize(res.Schedule, pdw.Options{
-		PathTimeLimit: time.Second, WindowTimeLimit: 2 * time.Second,
+	out, err := pdw.Optimize(context.Background(), res.Schedule, pdw.Options{
+		Budget: solve.Budget{PerPath: time.Second, Window: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

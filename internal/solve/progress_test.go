@@ -136,7 +136,7 @@ func TestStatsBindProgress(t *testing.T) {
 	if st.Progress() != p {
 		t.Fatal("BindProgress not retrievable")
 	}
-	end := st.StartPhase("necessity-analysis")
+	_, end := st.StartPhase(context.Background(), "necessity-analysis")
 	end()
 	if s := p.Snapshot(); s.Phase != "necessity-analysis" {
 		t.Fatalf("StartPhase did not publish phase: %q", s.Phase)

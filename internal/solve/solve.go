@@ -35,9 +35,9 @@ var (
 )
 
 // Budget bounds a solve end to end: one total wall-clock deadline for
-// the whole pipeline plus per-phase caps for its inner ILPs. It replaces
-// the scattered per-package TimeLimit fields; the zero value means
-// "package defaults, no total deadline".
+// the whole pipeline plus per-phase caps for its inner ILPs. It is the
+// only time bound the optimizers (pdw, dawo, demandwash) take; the zero
+// value means "package defaults, no total deadline".
 type Budget struct {
 	// Total bounds the whole run. The pipeline derives a context
 	// deadline from it; on expiry every phase degrades to its best

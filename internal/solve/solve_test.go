@@ -60,7 +60,8 @@ func TestOr(t *testing.T) {
 
 func TestStatsNilSafe(t *testing.T) {
 	var s *Stats
-	s.StartPhase("p")()
+	_, end := s.StartPhase(context.Background(), "p")
+	end()
 	s.AddMILP(MILPStat{})
 	s.SetSkips(map[string]int{"x": 1})
 	s.MarkCanceled()
@@ -74,7 +75,7 @@ func TestStatsNilSafe(t *testing.T) {
 
 func TestStatsAggregationAndSummary(t *testing.T) {
 	s := &Stats{}
-	end := s.StartPhase("wash-insertion")
+	_, end := s.StartPhase(context.Background(), "wash-insertion")
 	end()
 	s.AddMILP(MILPStat{Label: "wash-path[1t r0]", Nodes: 3, Pruned: 1, SimplexIters: 40,
 		Status: "optimal", Optimal: true,

@@ -100,18 +100,24 @@ func (s *Stats) Progress() *Progress {
 	return s.progress
 }
 
-// StartPhase opens a named phase and returns the closer that records
-// its wall time. Usage: defer s.StartPhase("window-milp")(). The
-// closer also feeds the process-wide pdw_phase_seconds histogram when
-// the observability layer is enabled, so Stats and the metrics
-// registry stay consistent without parallel bookkeeping at call sites.
-func (s *Stats) StartPhase(name string) func() {
+// StartPhase opens a named phase: it starts a "phase.<name>" span
+// parented under ctx and returns the derived context, so solves inside
+// the phase nest under it in the trace, plus the closer that ends the
+// span and records the phase's wall time. The closer also feeds the
+// process-wide pdw_phase_seconds histogram when the observability
+// layer is enabled, so Stats and the metrics registry stay consistent
+// without parallel bookkeeping at call sites. Safe on a nil receiver
+// and with observability disabled (the returned context is then ctx
+// unchanged).
+func (s *Stats) StartPhase(ctx context.Context, name string) (context.Context, func()) {
+	ctx, span := obs.Start(ctx, "phase."+name)
 	if s == nil {
-		return func() {}
+		return ctx, span.End
 	}
 	s.Progress().SetPhase(name)
 	t0 := time.Now()
-	return func() {
+	return ctx, func() {
+		span.End()
 		wall := time.Since(t0)
 		if obs.Enabled() {
 			obs.Default().Histogram("pdw_phase_seconds", nil, "phase", name).
@@ -120,21 +126,6 @@ func (s *Stats) StartPhase(name string) func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.Phases = append(s.Phases, PhaseStat{Name: name, Wall: wall})
-	}
-}
-
-// StartPhaseContext is StartPhase plus span tracing: it opens a
-// "phase.<name>" span parented under ctx and returns the derived
-// context, so solves inside the phase nest under it in the trace. The
-// closer ends the span and records the wall time exactly as StartPhase
-// does. Safe on a nil receiver and with observability disabled (the
-// returned context is then ctx unchanged).
-func (s *Stats) StartPhaseContext(ctx context.Context, name string) (context.Context, func()) {
-	ctx, span := obs.Start(ctx, "phase."+name)
-	end := s.StartPhase(name)
-	return ctx, func() {
-		span.End()
-		end()
 	}
 }
 

@@ -22,7 +22,7 @@ func mixAssay(t *testing.T) *assay.Assay {
 func TestSynthesizeContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SynthesizeContext(ctx, mixAssay(t), Config{})
+	_, err := Synthesize(ctx, mixAssay(t), Config{})
 	if !errors.Is(err, solve.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -65,7 +65,7 @@ func TestSynthesizeContextMidRunAborts(t *testing.T) {
 	// The entry check is poll 1; the first checkpoint stride lands the
 	// cancellation inside bind/buildSchedule.
 	ctx := &errAfterCtx{Context: context.Background(), after: 1}
-	_, err := SynthesizeContext(ctx, a, Config{})
+	_, err := Synthesize(ctx, a, Config{})
 	if !errors.Is(err, solve.ErrBudgetExceeded) {
 		t.Fatalf("mid-run cancel err = %v, want ErrBudgetExceeded", err)
 	}
@@ -75,7 +75,7 @@ func TestSynthesizeContextMidRunAborts(t *testing.T) {
 }
 
 func TestSynthesizeContextCompletes(t *testing.T) {
-	res, err := SynthesizeContext(context.Background(), mixAssay(t), Config{})
+	res, err := Synthesize(context.Background(), mixAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestSynthesizeContextCompletes(t *testing.T) {
 }
 
 func TestInvalidAssayIsSentinel(t *testing.T) {
-	_, err := Synthesize(assay.New("empty"), Config{})
+	_, err := Synthesize(context.Background(), assay.New("empty"), Config{})
 	if !errors.Is(err, solve.ErrInvalidAssay) {
 		t.Fatalf("err = %v, want ErrInvalidAssay", err)
 	}
 }
 
 func TestMissingDeviceIsInfeasible(t *testing.T) {
-	_, err := Synthesize(mixAssay(t), Config{
+	_, err := Synthesize(context.Background(), mixAssay(t), Config{
 		Devices: []DeviceSpec{{Kind: grid.Heater, Count: 1}},
 	})
 	if !errors.Is(err, solve.ErrInfeasible) {

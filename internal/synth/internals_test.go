@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/geom"
@@ -56,7 +57,7 @@ func TestPortSpotEdges(t *testing.T) {
 }
 
 func TestClassifySegments(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestTailContam(t *testing.T) {
 }
 
 func TestTravelSecondsRounding(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTravelSecondsRounding(t *testing.T) {
 }
 
 func TestRouteCompleteInjectionShape(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/assay"
@@ -34,7 +35,7 @@ func placementSpecs() []DeviceSpec {
 
 func TestOptimizePlacementValidAndComplete(t *testing.T) {
 	a := placementAssay(t)
-	res, err := Synthesize(a, Config{Devices: placementSpecs(), OptimizePlacement: true})
+	res, err := Synthesize(context.Background(), a, Config{Devices: placementSpecs(), OptimizePlacement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestOptimizePlacementValidAndComplete(t *testing.T) {
 
 func TestOptimizePlacementReducesWireLength(t *testing.T) {
 	a := placementAssay(t)
-	plain, err := Synthesize(a, Config{Devices: placementSpecs()})
+	plain, err := Synthesize(context.Background(), a, Config{Devices: placementSpecs()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Synthesize(a, Config{Devices: placementSpecs(), OptimizePlacement: true})
+	opt, err := Synthesize(context.Background(), a, Config{Devices: placementSpecs(), OptimizePlacement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,11 @@ func TestOptimizePlacementReducesWireLength(t *testing.T) {
 
 func TestOptimizePlacementDeterministic(t *testing.T) {
 	a := placementAssay(t)
-	r1, err := Synthesize(a, Config{Devices: placementSpecs(), OptimizePlacement: true})
+	r1, err := Synthesize(context.Background(), a, Config{Devices: placementSpecs(), OptimizePlacement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Synthesize(a, Config{Devices: placementSpecs(), OptimizePlacement: true})
+	r2, err := Synthesize(context.Background(), a, Config{Devices: placementSpecs(), OptimizePlacement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestOptimizePlacementSingleDevice(t *testing.T) {
 	a := assay.New("one")
 	a.MustAddOp(&assay.Operation{ID: "o1", Kind: assay.Mix, Duration: 1, Output: "f",
 		Reagents: []assay.FluidType{"r"}})
-	res, err := Synthesize(a, Config{OptimizePlacement: true})
+	res, err := Synthesize(context.Background(), a, Config{OptimizePlacement: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"pathdriverwash/internal/assay"
@@ -20,7 +21,7 @@ func ringAssay(t *testing.T) *assay.Assay {
 }
 
 func TestRingTopologySynthesizes(t *testing.T) {
-	res, err := Synthesize(ringAssay(t), Config{
+	res, err := Synthesize(context.Background(), ringAssay(t), Config{
 		Topology: Ring,
 		Devices: []DeviceSpec{
 			{Kind: grid.Mixer, Count: 2}, {Kind: grid.Heater, Count: 2},
@@ -44,7 +45,7 @@ func TestRingTopologySynthesizes(t *testing.T) {
 }
 
 func TestRingTopologyOddDeviceCount(t *testing.T) {
-	res, err := Synthesize(ringAssay(t), Config{
+	res, err := Synthesize(context.Background(), ringAssay(t), Config{
 		Topology: Ring,
 		Devices: []DeviceSpec{
 			{Kind: grid.Mixer, Count: 1}, {Kind: grid.Heater, Count: 1},

@@ -76,20 +76,15 @@ const (
 	pitch     = 3 // street-grid pitch: channel every pitch-th row/column
 )
 
-// Synthesize builds a chip and a wash-free schedule for the assay.
-func Synthesize(a *assay.Assay, cfg Config) (*Result, error) {
-	return SynthesizeContext(context.Background(), a, cfg)
-}
-
-// SynthesizeContext is Synthesize under a context. Synthesis has no
-// meaningful partial result (a half-scheduled assay is not feasible),
-// so cancellation — at entry or mid-run — aborts with
-// ErrBudgetExceeded. The placement, binding, routing, and scheduling
+// Synthesize builds a chip and a wash-free schedule for the assay under
+// ctx. Synthesis has no meaningful partial result (a half-scheduled
+// assay is not feasible), so cancellation — at entry or mid-run —
+// aborts with ErrBudgetExceeded. The placement, binding, routing, and scheduling
 // loops poll the context through an amortized solve.Checkpoint, so a
 // deadline lands within one checkpoint stride of loop work instead of
 // at the next phase boundary (the cancellation granularity contract in
 // DESIGN.md).
-func SynthesizeContext(ctx context.Context, a *assay.Assay, cfg Config) (*Result, error) {
+func Synthesize(ctx context.Context, a *assay.Assay, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, budgetErr(err)
 	}
@@ -114,7 +109,7 @@ func SynthesizeContext(ctx context.Context, a *assay.Assay, cfg Config) (*Result
 			return nil, err
 		}
 		obs.RecordSpan(ctx, "synth.placement", t0, time.Since(t0), obs.A("mode", "ring"))
-		return SynthesizeOnChipContext(ctx, a, chip)
+		return SynthesizeOnChip(ctx, a, chip)
 	}
 	if cfg.OptimizePlacement {
 		cp := solve.NewCheckpoint(ctx)
@@ -139,19 +134,14 @@ func SynthesizeContext(ctx context.Context, a *assay.Assay, cfg Config) (*Result
 		return nil, err
 	}
 	obs.RecordSpan(ctx, "synth.placement", t0, time.Since(t0), obs.A("mode", "street-grid"))
-	return SynthesizeOnChipContext(ctx, a, chip)
+	return SynthesizeOnChip(ctx, a, chip)
 }
 
 // SynthesizeOnChip binds and schedules the assay on a caller-provided
 // chip architecture (e.g. the paper's hand-drawn Fig. 2(a) layout)
-// instead of generating one.
-func SynthesizeOnChip(a *assay.Assay, chip *grid.Chip) (*Result, error) {
-	return SynthesizeOnChipContext(context.Background(), a, chip)
-}
-
-// SynthesizeOnChipContext is SynthesizeOnChip under a context, with the
-// same checkpointed mid-run cancellation contract as SynthesizeContext.
-func SynthesizeOnChipContext(ctx context.Context, a *assay.Assay, chip *grid.Chip) (*Result, error) {
+// instead of generating one, with the same checkpointed mid-run
+// cancellation contract as Synthesize.
+func SynthesizeOnChip(ctx context.Context, a *assay.Assay, chip *grid.Chip) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, budgetErr(err)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func wideAssay(t *testing.T) *assay.Assay {
 }
 
 func TestSynthesizeChain(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSynthesizeChain(t *testing.T) {
 }
 
 func TestScheduleHasAllTaskKinds(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestScheduleHasAllTaskKinds(t *testing.T) {
 }
 
 func TestCompletePathShape(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCompletePathShape(t *testing.T) {
 }
 
 func TestTransportPassesThroughDevices(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestTransportPassesThroughDevices(t *testing.T) {
 }
 
 func TestContaminationSegments(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestContaminationSegments(t *testing.T) {
 }
 
 func TestRemovalCoversExcess(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRemovalCoversExcess(t *testing.T) {
 }
 
 func TestParallelOpsOverlapOnDistinctDevices(t *testing.T) {
-	res, err := Synthesize(wideAssay(t), Config{
+	res, err := Synthesize(context.Background(), wideAssay(t), Config{
 		Devices: []DeviceSpec{{Kind: grid.Mixer, Count: 3}},
 	})
 	if err != nil {
@@ -191,13 +192,13 @@ func TestParallelOpsOverlapOnDistinctDevices(t *testing.T) {
 }
 
 func TestDeviceLibraryChecked(t *testing.T) {
-	_, err := Synthesize(chainAssay(t), Config{
+	_, err := Synthesize(context.Background(), chainAssay(t), Config{
 		Devices: []DeviceSpec{{Kind: grid.Mixer, Count: 1}}, // no heater/detector
 	})
 	if err == nil || !strings.Contains(err.Error(), "needs a") {
 		t.Fatalf("missing device kind not detected: %v", err)
 	}
-	_, err = Synthesize(chainAssay(t), Config{
+	_, err = Synthesize(context.Background(), chainAssay(t), Config{
 		Devices: []DeviceSpec{{Kind: grid.Mixer, Count: 0}},
 	})
 	if err == nil {
@@ -206,7 +207,7 @@ func TestDeviceLibraryChecked(t *testing.T) {
 }
 
 func TestPortCounts(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{FlowPorts: 4, WastePorts: 3})
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{FlowPorts: 4, WastePorts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestPortCounts(t *testing.T) {
 }
 
 func TestPhysicalParameters(t *testing.T) {
-	res, err := Synthesize(chainAssay(t), Config{
+	res, err := Synthesize(context.Background(), chainAssay(t), Config{
 		CellLengthMM: 2.5, FlowVelocityMMs: 5, DissolutionS: 3,
 	})
 	if err != nil {
@@ -230,11 +231,11 @@ func TestPhysicalParameters(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	r1, err := Synthesize(chainAssay(t), Config{})
+	r1, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Synthesize(chainAssay(t), Config{})
+	r2, err := Synthesize(context.Background(), chainAssay(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestBindLoadBalances(t *testing.T) {
 		a.MustAddOp(&assay.Operation{ID: id, Kind: assay.Mix, Duration: 2,
 			Output: assay.FluidType("f" + id), Reagents: []assay.FluidType{"r" + assay.FluidType(id)}})
 	}
-	res, err := Synthesize(a, Config{Devices: []DeviceSpec{{Kind: grid.Mixer, Count: 2}}})
+	res, err := Synthesize(context.Background(), a, Config{Devices: []DeviceSpec{{Kind: grid.Mixer, Count: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestBindLoadBalances(t *testing.T) {
 
 func TestLargerLibraryLayout(t *testing.T) {
 	a := chainAssay(t)
-	res, err := Synthesize(a, Config{Devices: []DeviceSpec{
+	res, err := Synthesize(context.Background(), a, Config{Devices: []DeviceSpec{
 		{Kind: grid.Mixer, Count: 3}, {Kind: grid.Heater, Count: 2},
 		{Kind: grid.Detector, Count: 2}, {Kind: grid.Filter, Count: 2},
 	}})
@@ -297,7 +298,7 @@ func TestLargerLibraryLayout(t *testing.T) {
 
 func TestInvalidAssayRejected(t *testing.T) {
 	a := assay.New("bad")
-	if _, err := Synthesize(a, Config{}); err == nil {
+	if _, err := Synthesize(context.Background(), a, Config{}); err == nil {
 		t.Fatal("empty assay must fail")
 	}
 }
@@ -309,7 +310,7 @@ func TestWasteDisposalForDiscardResult(t *testing.T) {
 	a.MustAddOp(&assay.Operation{ID: "o2", Kind: assay.Mix, Duration: 2, Output: "f2",
 		Reagents: []assay.FluidType{"r2"}})
 	a.MustAddEdge("o1", "o2") // o1 feeds o2 but also discards
-	res, err := Synthesize(a, Config{})
+	res, err := Synthesize(context.Background(), a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package washpath
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -102,7 +103,7 @@ func TestExactILPMatchesBruteForce(t *testing.T) {
 		if want < 0 {
 			t.Fatalf("case %d: brute force found no path", i)
 		}
-		plan, err := Build(c, Request{Targets: targets},
+		plan, err := Build(context.Background(), c, Request{Targets: targets},
 			Options{Exact: true, TimeLimit: 30 * time.Second})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)

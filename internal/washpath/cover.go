@@ -9,21 +9,15 @@ import (
 	"pathdriverwash/internal/grid"
 )
 
-// BuildCover constructs one or more wash paths that together cover all
-// targets; see BuildCoverContext.
-func BuildCover(chip *grid.Chip, targets []geom.Point, opts Options) ([]Plan, [][]geom.Point, error) {
-	return BuildCoverContext(context.Background(), chip, targets, opts)
-}
-
 // BuildCoverContext constructs one or more wash paths that together
 // cover all targets. It first tries a single path (ILP or heuristic per
 // opts); when the target set cannot be served by one simple path — e.g.
 // a channel chain with a device block hanging off it — the set is split
 // into device blocks and channel components, each washed separately.
 // Returns the plans and the target subset each plan covers. A canceled
-// ctx degrades exact-mode paths to the BFS heuristic (see BuildContext).
+// ctx degrades exact-mode paths to the BFS heuristic (see Build).
 func BuildCoverContext(ctx context.Context, chip *grid.Chip, targets []geom.Point, opts Options) ([]Plan, [][]geom.Point, error) {
-	plan, err := BuildContext(ctx, chip, Request{Targets: targets}, opts)
+	plan, err := Build(ctx, chip, Request{Targets: targets}, opts)
 	if err == nil {
 		return []Plan{plan}, [][]geom.Point{targets}, nil
 	}
@@ -40,7 +34,7 @@ func BuildCoverContext(ctx context.Context, chip *grid.Chip, targets []geom.Poin
 	var plans []Plan
 	var covered [][]geom.Point
 	for _, part := range parts {
-		p, perr := BuildContext(ctx, chip, Request{Targets: part}, opts)
+		p, perr := Build(ctx, chip, Request{Targets: part}, opts)
 		if perr != nil {
 			// Last resort: break the part into chains.
 			chains := chainDecompose(part)
@@ -48,7 +42,7 @@ func BuildCoverContext(ctx context.Context, chip *grid.Chip, targets []geom.Poin
 				return nil, nil, fmt.Errorf("washpath: cannot cover split part %v: %w", part, perr)
 			}
 			for _, ch := range chains {
-				cp, cerr := BuildContext(ctx, chip, Request{Targets: ch}, opts)
+				cp, cerr := Build(ctx, chip, Request{Targets: ch}, opts)
 				if cerr != nil {
 					return nil, nil, fmt.Errorf("washpath: cannot cover chain %v: %w", ch, cerr)
 				}

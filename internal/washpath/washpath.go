@@ -72,15 +72,10 @@ type Plan struct {
 	Exact bool
 }
 
-// Build constructs a wash path for the request.
-func Build(chip *grid.Chip, req Request, opts Options) (Plan, error) {
-	return BuildContext(context.Background(), chip, req, opts)
-}
-
-// BuildContext is Build under a context: a canceled or expired ctx
-// degrades the exact mode to the BFS heuristic (the same fallback used
+// Build constructs a wash path for the request. A canceled or expired
+// ctx degrades the exact mode to the BFS heuristic (the same fallback used
 // when the ILP time limit expires) instead of failing.
-func BuildContext(ctx context.Context, chip *grid.Chip, req Request, opts Options) (Plan, error) {
+func Build(ctx context.Context, chip *grid.Chip, req Request, opts Options) (Plan, error) {
 	if len(req.Targets) == 0 {
 		return Plan{}, fmt.Errorf("washpath: no targets")
 	}
@@ -273,7 +268,7 @@ func buildILP(ctx context.Context, chip *grid.Chip, req Request, opts Options, h
 		// Publish the model about to be solved so /debug/solves names the
 		// ILP the node/pivot counters currently belong to.
 		solve.ProgressFromContext(ctx).SetModel(label)
-		res, err := milp.SolveContext(ctx, prob, milp.Options{TimeLimit: remain})
+		res, err := milp.Solve(ctx, prob, milp.Options{TimeLimit: remain})
 		if err != nil {
 			return Plan{}, err
 		}
@@ -329,7 +324,7 @@ type model struct {
 // newModel enumerates the usable cells and ports of the path ILP. The
 // per-target distance sweeps (one BFS over the chip each) and the cell
 // enumeration are the enumeration hot loops of the exact mode; the
-// checkpoint aborts them with ErrBudgetExceeded, which BuildContext
+// checkpoint aborts them with ErrBudgetExceeded, which Build
 // turns into the heuristic fallback.
 func newModel(chip *grid.Chip, req Request, heur Plan, haveHeur bool, cp *solve.Checkpoint) (*model, error) {
 	m := &model{

@@ -1,6 +1,7 @@
 package washpath
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func meshChip(t *testing.T, w, h int) *grid.Chip {
 func TestHeuristicCoversChain(t *testing.T) {
 	c := meshChip(t, 8, 8)
 	targets := []geom.Point{geom.Pt(3, 3), geom.Pt(4, 3), geom.Pt(5, 3)}
-	plan, err := Build(c, Request{Targets: targets}, Options{})
+	plan, err := Build(context.Background(), c, Request{Targets: targets}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestExactMatchesOrBeatsHeuristic(t *testing.T) {
 		{geom.Pt(5, 2), geom.Pt(5, 3), geom.Pt(5, 4)},
 	}
 	for i, targets := range cases {
-		heur, err := Build(c, Request{Targets: targets}, Options{})
+		heur, err := Build(context.Background(), c, Request{Targets: targets}, Options{})
 		if err != nil {
 			t.Fatalf("case %d heuristic: %v", i, err)
 		}
-		exact, err := Build(c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
+		exact, err := Build(context.Background(), c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("case %d exact: %v", i, err)
 		}
@@ -96,7 +97,7 @@ func TestExactIsTrulyMinimal(t *testing.T) {
 	// pairs when the two legs don't collide.
 	c := meshChip(t, 6, 6)
 	target := geom.Pt(2, 1)
-	plan, err := Build(c, Request{Targets: []geom.Point{target}}, Options{Exact: true, TimeLimit: 20 * time.Second})
+	plan, err := Build(context.Background(), c, Request{Targets: []geom.Point{target}}, Options{Exact: true, TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAvoidsNonTargetDevices(t *testing.T) {
 	}
 	targets := []geom.Point{geom.Pt(2, 2), geom.Pt(3, 2)}
 	for _, exact := range []bool{false, true} {
-		plan, err := Build(c, Request{Targets: targets}, Options{Exact: exact, TimeLimit: 20 * time.Second})
+		plan, err := Build(context.Background(), c, Request{Targets: targets}, Options{Exact: exact, TimeLimit: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("exact=%v: %v", exact, err)
 		}
@@ -162,7 +163,7 @@ func TestWashTargetedDevice(t *testing.T) {
 		}
 	}
 	targets := d.Cells() // 2x1 block: (4,2),(5,2)
-	plan, err := Build(c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
+	plan, err := Build(context.Background(), c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +221,13 @@ func TestChainOrderDisconnectedFails(t *testing.T) {
 
 func TestBuildRejectsBadTargets(t *testing.T) {
 	c := meshChip(t, 6, 6)
-	if _, err := Build(c, Request{}, Options{}); err == nil {
+	if _, err := Build(context.Background(), c, Request{}, Options{}); err == nil {
 		t.Error("no targets must fail")
 	}
-	if _, err := Build(c, Request{Targets: []geom.Point{geom.Pt(99, 0)}}, Options{}); err == nil {
+	if _, err := Build(context.Background(), c, Request{Targets: []geom.Point{geom.Pt(99, 0)}}, Options{}); err == nil {
 		t.Error("unroutable target must fail")
 	}
-	if _, err := Build(c, Request{Targets: []geom.Point{geom.Pt(1, 0)}}, Options{}); err == nil {
+	if _, err := Build(context.Background(), c, Request{Targets: []geom.Point{geom.Pt(1, 0)}}, Options{}); err == nil {
 		t.Error("port-cell target must fail")
 	}
 }
@@ -234,7 +235,7 @@ func TestBuildRejectsBadTargets(t *testing.T) {
 func TestExactFallsBackOnTinyTimeLimit(t *testing.T) {
 	c := meshChip(t, 10, 10)
 	targets := []geom.Point{geom.Pt(4, 4), geom.Pt(5, 4), geom.Pt(6, 4)}
-	plan, err := Build(c, Request{Targets: targets}, Options{Exact: true, TimeLimit: time.Nanosecond})
+	plan, err := Build(context.Background(), c, Request{Targets: targets}, Options{Exact: true, TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestPortSelectionPicksShortSide(t *testing.T) {
 	// across the whole chip to in1/out1.
 	c := meshChip(t, 9, 9)
 	targets := []geom.Point{geom.Pt(2, 6), geom.Pt(3, 6)}
-	plan, err := Build(c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
+	plan, err := Build(context.Background(), c, Request{Targets: targets}, Options{Exact: true, TimeLimit: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

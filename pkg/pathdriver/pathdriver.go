@@ -23,9 +23,7 @@
 //
 // Synthesize stands in for the PathDriver+ tool (chip architecture and
 // wash-free scheduling); OptimizeWash is the paper's contribution;
-// Baseline is the DAWO comparator used in the evaluation. The
-// pre-redesign names (SynthesizeContext, OptimizeWashContext, ...) live
-// on as deprecated wrappers in deprecated.go.
+// Baseline is the DAWO comparator used in the evaluation.
 package pathdriver
 
 import (
@@ -49,9 +47,7 @@ import (
 type (
 	// Budget bounds a solve: Total is the end-to-end deadline applied as
 	// a context deadline; PerPath and Window cap the wash-path ILPs and
-	// the time-window MILP. It replaces the scattered per-phase
-	// PathTimeLimit / WindowTimeLimit / TimeLimit options, which remain
-	// as deprecated aliases.
+	// the time-window MILP. It is the only way to bound a solve.
 	Budget = solve.Budget
 	// SolveStats is the structured telemetry attached to PDWResult and
 	// DAWOResult: per-phase wall times, branch-and-bound node and pruning
@@ -69,8 +65,8 @@ var (
 	// wash-path cover, an infeasible window MILP, an unsatisfiable device
 	// library).
 	ErrInfeasible = solve.ErrInfeasible
-	// ErrBudgetExceeded marks a solve aborted by a Budget, TimeLimit, or
-	// context deadline before reaching a usable answer. Optimizers that
+	// ErrBudgetExceeded marks a solve aborted by a Budget or context
+	// deadline before reaching a usable answer. Optimizers that
 	// hold a feasible incumbent degrade to it instead of returning this.
 	ErrBudgetExceeded = solve.ErrBudgetExceeded
 	// ErrInvalidAssay marks a protocol that fails validation.
@@ -178,13 +174,13 @@ func NewChip(name string, w, h int) *Chip { return grid.NewChip(name, w, h) }
 // already done aborts with ErrBudgetExceeded; synthesis otherwise runs
 // to completion (it is fast and has no usable partial result).
 func Synthesize(ctx context.Context, a *Assay, cfg SynthConfig) (*SynthResult, error) {
-	return synth.SynthesizeContext(ctx, a, cfg)
+	return synth.Synthesize(ctx, a, cfg)
 }
 
 // SynthesizeOnChip schedules the assay on a caller-provided chip, with
 // the same context contract as Synthesize.
 func SynthesizeOnChip(ctx context.Context, a *Assay, c *Chip) (*SynthResult, error) {
-	return synth.SynthesizeOnChipContext(ctx, a, c)
+	return synth.SynthesizeOnChip(ctx, a, c)
 }
 
 // OptimizeWash runs PathDriver-Wash on a wash-free schedule.
@@ -193,13 +189,13 @@ func SynthesizeOnChip(ctx context.Context, a *Assay, c *Chip) (*SynthResult, err
 // the result is still a valid contamination-free schedule, with
 // Stats.Canceled set — never an error.
 func OptimizeWash(ctx context.Context, base *Schedule, opts Options) (*PDWResult, error) {
-	return pdw.OptimizeContext(ctx, base, opts.pdwOptions())
+	return pdw.Optimize(ctx, base, opts.pdwOptions())
 }
 
 // Baseline runs the DAWO comparison baseline on a wash-free schedule,
 // with the same graceful degradation as OptimizeWash.
 func Baseline(ctx context.Context, base *Schedule, opts Options) (*DAWOResult, error) {
-	return dawo.OptimizeContext(ctx, base, opts.dawoOptions())
+	return dawo.Optimize(ctx, base, opts.dawoOptions())
 }
 
 // CompressBase re-times a wash-free schedule with the time-window
@@ -207,7 +203,7 @@ func Baseline(ctx context.Context, base *Schedule, opts Options) (*DAWOResult, e
 // canceled context falls back to the greedy re-timing rather than
 // erroring.
 func CompressBase(ctx context.Context, base *Schedule, limit time.Duration) (*Schedule, error) {
-	return pdw.CompressBaseContext(ctx, base, limit)
+	return pdw.CompressBase(ctx, base, limit)
 }
 
 // VerifyClean checks that a schedule executes without
