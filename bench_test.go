@@ -49,7 +49,6 @@ func benchOpts() harness.Options {
 		PDW: pdw.Options{
 			Budget: solve.Budget{PerPath: time.Second, Window: 3 * time.Second},
 		},
-		BaseCompressLimit: 2 * time.Second,
 	}
 }
 
@@ -182,7 +181,7 @@ func runAblation(b *testing.B, mutate func(*pdw.Options)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,7 +318,7 @@ func BenchmarkBaselineDemandDriven(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,7 +424,7 @@ func BenchmarkSweep_MergeRadius(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -456,7 +455,7 @@ func BenchmarkSweep_Dissolution(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+			ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -483,7 +482,7 @@ func BenchmarkSweep_Topology(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+			ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 			if err != nil {
 				b.Fatal(err)
 			}

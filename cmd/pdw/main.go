@@ -117,7 +117,7 @@ func main() {
 		fmt.Println(syn.Chip.Render())
 	}
 
-	ref, err := pdw.CompressBase(ctx, syn.Schedule, 5*time.Second)
+	ref, err := pdw.CompressBase(ctx, syn.Schedule)
 	if err != nil {
 		fatal(err)
 	}

@@ -180,7 +180,6 @@ func main() {
 	}}
 	if *quick {
 		opts.PDW.Budget = solve.Budget{PerPath: 500 * time.Millisecond, Window: 2 * time.Second}
-		opts.BaseCompressLimit = time.Second
 	}
 
 	ctx := context.Background()

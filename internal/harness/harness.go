@@ -43,8 +43,6 @@ type Options struct {
 	PDW pdw.Options
 	// DAWO forwards baseline options.
 	DAWO dawo.Options
-	// BaseCompressLimit bounds the wash-free reference LP (default 5 s).
-	BaseCompressLimit time.Duration
 }
 
 // Outcome is the full result of one benchmark run.
@@ -71,9 +69,6 @@ type Outcome struct {
 // run still yields a valid, verified Outcome unless synthesis itself
 // was aborted at entry.
 func RunBenchmark(ctx context.Context, b *benchmarks.Benchmark, opts Options) (_ *Outcome, err error) {
-	if opts.BaseCompressLimit <= 0 {
-		opts.BaseCompressLimit = 5 * time.Second
-	}
 	// The benchmark span is the root of the run's trace tree: synthesis,
 	// base compression, DAWO, and PDW all nest under it, so a Chrome
 	// trace of a harness run shows one track per benchmark whose root
@@ -104,7 +99,7 @@ func RunBenchmark(ctx context.Context, b *benchmarks.Benchmark, opts Options) (_
 	}
 	synthTime := time.Since(t0)
 	t0 = time.Now()
-	ref, err := pdw.CompressBase(ctx, syn.Schedule, opts.BaseCompressLimit)
+	ref, err := pdw.CompressBase(ctx, syn.Schedule)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: compress base: %w", b.Name, err)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"testing"
-	"time"
 
 	"pathdriverwash/internal/assay"
 	"pathdriverwash/internal/benchmarks"
@@ -71,7 +70,7 @@ func TestMotivatingExampleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestRingTopologyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := pdw.CompressBase(context.Background(), syn.Schedule, 2*time.Second)
+	ref, err := pdw.CompressBase(context.Background(), syn.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}

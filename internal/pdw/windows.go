@@ -144,30 +144,54 @@ func optimizeWindows(ctx context.Context, plan *replan.Plan, greedy *schedule.Sc
 	return sched, res.Status == milp.Optimal, nil
 }
 
-// CompressBase re-times the wash-free input schedule with the same
-// time-window optimization applied to washed schedules (no washes, so
-// the model is a pure LP over start times). It provides the fair
-// wash-free T_assay reference against which T_delay and waiting times
-// are measured; without it, PDW's ILP could look faster than the
-// greedy-scheduled input and report negative wash delay. A canceled
-// ctx falls back to the greedy schedule (never an error).
-func CompressBase(ctx context.Context, base *schedule.Schedule, limit time.Duration) (*schedule.Schedule, error) {
+// CompressBase re-times the wash-free input schedule to its earliest
+// start times. It provides the fair wash-free T_assay reference against
+// which T_delay and waiting times are measured; without it, PDW's
+// window optimization could look faster than the greedy-scheduled
+// input and report negative wash delay.
+//
+// This is exactly the optimum of the time-window model (Eqs. 1-8, 22)
+// applied to washed schedules: with no washes the plan has no free
+// pairs (each free pair involves a wash) and every conflict-capable
+// base pair is pinned to base order, so the model is makespan
+// minimization over difference constraints on a DAG. Its optimum is
+// the critical-path length, which earliest starts reach. One pass in
+// topological order computes them in O(V+E).
+//
+// The pass publishes to the solve.Progress view in ctx, if any, as a
+// one-node exact solve (incumbent = bound = makespan). It polls no
+// deadline, so a canceled ctx yields the same reference, never an error.
+func CompressBase(ctx context.Context, base *schedule.Schedule) (*schedule.Schedule, error) {
 	plan, err := replan.Build(base, nil)
 	if err != nil {
 		return nil, err
 	}
-	greedy, err := plan.Greedy()
+	order, err := plan.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	optimized, _, err := optimizeWindows(ctx, plan, greedy, limit, nil)
-	if err != nil || optimized == nil {
-		return greedy, nil
+	succs := make([][]int, len(plan.Tasks))
+	for _, e := range plan.Edges {
+		succs[e[0]] = append(succs[e[0]], e[1])
 	}
-	if optimized.Validate() != nil {
-		return greedy, nil
+	starts := make([]int, len(plan.Tasks))
+	for _, v := range order {
+		end := starts[v] + plan.Durations[v]
+		for _, w := range succs[v] {
+			starts[w] = max(starts[w], end)
+		}
 	}
-	return optimized, nil
+	ref, err := plan.Apply(starts)
+	if err != nil {
+		return nil, err
+	}
+	prog := solve.ProgressFromContext(ctx)
+	prog.SetModel("compress")
+	mk := float64(ref.Makespan())
+	prog.Incumbent(mk)
+	prog.SetBound(mk)
+	prog.AddNodes(1)
+	return ref, nil
 }
 
 // hazardPair reports whether flipping the pair's order against the

@@ -15,7 +15,7 @@ import (
 
 func TestCompressBaseNeverSlower(t *testing.T) {
 	res := fixture(t)
-	ref, err := CompressBase(context.Background(), res.Schedule, 3*time.Second)
+	ref, err := CompressBase(context.Background(), res.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}

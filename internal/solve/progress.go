@@ -61,8 +61,9 @@ func (p *Progress) SetPhase(name string) {
 	p.phase.Store(&name)
 }
 
-// SetModel publishes the ILP model currently being solved (once per
-// ILP, from washpath's cut rounds and pdw's window MILP).
+// SetModel publishes the model currently being solved (once per ILP,
+// from washpath's cut rounds and pdw's window MILP, and once per
+// reference compression).
 func (p *Progress) SetModel(label string) {
 	if p == nil {
 		return

@@ -3,7 +3,6 @@ package pathdriver
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pathdriverwash/internal/assayio"
 	"pathdriverwash/internal/dawo"
@@ -138,10 +137,6 @@ type Response struct {
 	Stats *SolveStats
 }
 
-// compressLimit bounds the wash-free reference compression inside
-// Solve, matching the harness's default.
-const compressLimit = 5 * time.Second
-
 // Solve runs the whole pipeline for one Request: synthesis, reference
 // compression, wash optimization, and metrics, under ctx and the
 // request's budget. Budget expiry or ctx cancellation degrades
@@ -164,7 +159,7 @@ func Solve(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := CompressBase(ctx, syn.Schedule, compressLimit)
+	ref, err := pdw.CompressBase(ctx, syn.Schedule)
 	if err != nil {
 		return nil, err
 	}

@@ -198,12 +198,14 @@ func Baseline(ctx context.Context, base *Schedule, opts Options) (*DAWOResult, e
 	return dawo.Optimize(ctx, base, opts.dawoOptions())
 }
 
-// CompressBase re-times a wash-free schedule with the time-window
-// optimizer, giving the fair reference for delay measurements; a
-// canceled context falls back to the greedy re-timing rather than
-// erroring.
+// CompressBase re-times a wash-free schedule to its earliest start
+// times, giving the fair reference for delay measurements. This is the
+// exact optimum of the time-window model without washes, computed by
+// one longest-path pass with no solver and no deadline, so a canceled
+// context returns the same reference rather than an error. limit is
+// unused; it is kept so existing callers compile.
 func CompressBase(ctx context.Context, base *Schedule, limit time.Duration) (*Schedule, error) {
-	return pdw.CompressBase(ctx, base, limit)
+	return pdw.CompressBase(ctx, base)
 }
 
 // VerifyClean checks that a schedule executes without

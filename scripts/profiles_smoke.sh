@@ -1,9 +1,9 @@
 #!/bin/sh
 # profiles_smoke.sh — end-to-end smoke for the anomaly-triggered
 # profiling pipeline, available as `make profiles-smoke`. Starts a real
-# pdwd on an ephemeral port, forces a budget-overrun solve (a paper
-# benchmark under a 1 ms total budget degrades to heuristic incumbents
-# with canceled=true), and then walks the whole evidence chain the
+# pdwd on an ephemeral port, forces a budget-overrun solve (exact PDW
+# on ProteinSplit under a 1 s total budget degrades to heuristic
+# incumbents with canceled=true), and then walks the whole evidence chain the
 # observability layer promises: the overrun record appears on
 # /debug/requests?outcome=overrun carrying a profile_id, the
 # /debug/profiles listing shows the capture, and the capture's CPU
@@ -52,9 +52,13 @@ case "$solves" in
     ;;
 esac
 
-echo "==> force a budget-overrun solve (PCR benchmark, 1 ms budget)"
-go run ./cmd/pdw -bench PCR -export >"$tmp/assay.json"
-printf '{"assay": %s, "options": {"budget": {"total": "1ms"}}}' \
+# Synthesis and the reference compression finish in well under 100 ms
+# on ProteinSplit, so the budget cannot expire before a schedule exists
+# (which would answer 503); its exact wash paths take several seconds,
+# so the solve reliably runs out of budget inside the optimizer.
+echo "==> force a budget-overrun solve (ProteinSplit benchmark, 1 s budget)"
+go run ./cmd/pdw -bench ProteinSplit -export >"$tmp/assay.json"
+printf '{"assay": %s, "options": {"budget": {"total": "1s"}}}' \
     "$(cat "$tmp/assay.json")" >"$tmp/request.json"
 curl -fsS "http://$addr/v1/solve" -d @"$tmp/request.json" -o "$tmp/response.json"
 if ! grep -q '"canceled":[[:space:]]*true' "$tmp/response.json"; then
